@@ -14,18 +14,18 @@
 //   - It then tails the stream: each poll fetches raw WAL frames from
 //     applied+1, CRC-verifies and decodes them (wal.DecodeFrames rejects the
 //     whole read on any torn or corrupt frame — network data is never
-//     partially applied), replays the records through the normal core apply
-//     path, and publishes one epoch per applied batch. Statement runs are
-//     batched through pulopt.PlanBatch exactly like a leader's writer loop;
-//     any gate rejection falls back to per-statement application, which is
-//     equivalent — the engine version is a pure function of the statement
-//     sequence, so a follower that batches differently than its leader still
-//     converges byte-identically.
+//     partially applied), replays the records through wal.Replayer — the
+//     record loop crash recovery uses, which batches statement runs through
+//     pulopt.ApplyRun exactly like a leader's writer loop — and publishes
+//     one epoch per poll. A follower that batches differently than its
+//     leader still converges byte-identically: the planner accepts a batch
+//     only when it is equivalent to its statements applied one at a time,
+//     and the engine version is a pure function of the statement sequence.
 //
 //   - Records that fail to parse or that the engine rejects are skipped,
-//     mirroring recovery's replay semantics (they had no effect on the
-//     leader either); a batch that part-applies forces a snapshot re-sync
-//     rather than guessing at the boundary.
+//     exactly as recovery skips them (they had no effect on the leader
+//     either); a batch that part-applies forces a snapshot re-sync rather
+//     than guessing at the boundary.
 //
 //   - Transport errors reconnect with jittered exponential backoff and
 //     resume from the last-applied LSN. A 410 snapshot_required answer
@@ -47,10 +47,7 @@ import (
 	"xivm/internal/client"
 	"xivm/internal/core"
 	"xivm/internal/obs"
-	"xivm/internal/pattern"
-	"xivm/internal/pulopt"
 	"xivm/internal/server"
-	"xivm/internal/update"
 	"xivm/internal/wal"
 )
 
@@ -63,9 +60,6 @@ type Options struct {
 	// MaxBytes caps one stream read (default 1MiB). The leader always ships
 	// at least one frame regardless.
 	MaxBytes int
-	// MaxBatch caps how many consecutive statements are replayed through one
-	// PlanBatch translation (default 32; 1 disables batching).
-	MaxBatch int
 	// MinBackoff/MaxBackoff bound the jittered exponential reconnect backoff
 	// (defaults 50ms / 3s).
 	MinBackoff, MaxBackoff time.Duration
@@ -89,13 +83,6 @@ func (o Options) maxBytes() int {
 		return 1 << 20
 	}
 	return o.MaxBytes
-}
-
-func (o Options) maxBatch() int {
-	if o.MaxBatch <= 0 {
-		return 32
-	}
-	return o.MaxBatch
 }
 
 func (o Options) minBackoff() time.Duration {
@@ -298,79 +285,25 @@ func (f *Follower) pollOnce(ctx context.Context) error {
 	return nil
 }
 
-// replay applies one decoded batch of records through the engine, batching
-// maximal runs of parseable statements through the pulopt planner and
-// mirroring recovery's skip semantics for everything the planner or engine
-// rejects. Only a part-applied translated batch is an error (errResync).
+// replay applies one decoded read of records through the shared record
+// loop. Only a part-applied translated batch is an error (errResync).
 func (f *Follower) replay(recs []wal.Record) error {
-	var run []*update.Statement
-	for i := range recs {
-		r := &recs[i]
-		switch r.Kind {
-		case wal.RecordStatement:
-			st, err := update.Parse(r.Statement)
-			if err != nil {
-				// A skipped statement has no effect, so the run can span it.
-				f.m.skipped.Inc()
-				continue
-			}
-			run = append(run, st)
-		case wal.RecordView:
-			// View registration must land at its exact point in the
-			// statement sequence.
-			if err := f.flush(run); err != nil {
-				return err
-			}
-			run = run[:0]
-			p, err := pattern.Parse(r.ViewPattern)
-			if err != nil {
-				f.m.skipped.Inc()
-				continue
-			}
-			if _, err := f.eng.AddView(r.ViewName, p); err != nil {
-				f.m.skipped.Inc()
-				continue
-			}
-			f.m.records.Inc()
-		default:
-			f.m.skipped.Inc()
-		}
+	r := wal.NewReplayer(f.eng, nil)
+	var err error
+	for i := 0; i < len(recs) && err == nil; i++ {
+		err = r.Add(recs[i])
 	}
-	return f.flush(run)
-}
-
-// flush replays a run of statements: chunks are first offered to the batch
-// planner; a rejected plan degrades the chunk's first statement to the
-// per-statement path (engine errors skipped, exactly like recovery) and the
-// rest is re-planned. Equivalence holds either way — the planner's gates
-// guarantee a translated chunk produces the sequential state and version.
-func (f *Follower) flush(run []*update.Statement) error {
-	for len(run) > 0 {
-		n := len(run)
-		if max := f.opts.maxBatch(); n > max {
-			n = max
-		}
-		if n > 1 {
-			if plan, err := pulopt.PlanBatch(f.eng, run[:n]); err == nil {
-				if _, applied, err := f.eng.ApplyBatchCtx(context.Background(), plan.Units); err != nil {
-					// A part-applied batch leaves the engine somewhere
-					// between statement boundaries; the only deterministic
-					// recovery is a fresh snapshot.
-					return fmt.Errorf("%w (tenant %s: batch part-applied %d/%d: %v)",
-						errResync, f.name, applied, n, err)
-				}
-				f.m.batches.Inc()
-				f.m.records.Add(int64(n))
-				run = run[n:]
-				continue
-			}
-		}
-		if _, err := f.eng.ApplyStatement(run[0]); err != nil {
-			f.m.skipped.Inc()
-		} else {
-			f.m.records.Inc()
-		}
-		run = run[1:]
+	if err == nil {
+		err = r.Flush()
+	}
+	f.m.records.Add(int64(r.Stats.Replayed))
+	f.m.skipped.Add(int64(r.Stats.Skipped))
+	f.m.batches.Add(int64(r.Stats.Batches))
+	if err != nil {
+		// A part-applied batch leaves the engine somewhere between
+		// statement boundaries; the only deterministic recovery is a fresh
+		// snapshot.
+		return fmt.Errorf("%w (tenant %s: %v)", errResync, f.name, err)
 	}
 	return nil
 }

@@ -13,8 +13,8 @@ import (
 	"xivm/internal/xmltree"
 )
 
-// DefaultTenant is the tenant the deprecated single-tenant routes
-// (/v1/views, /v1/xpath, /v1/update) are mounted on.
+// DefaultTenant is the conventional name of a single-database deployment's
+// tenant (cmd/xivm's -db default).
 const DefaultTenant = "default"
 
 // ViewSpec declares one view for tenant creation: a name and a tree

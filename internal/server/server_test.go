@@ -251,9 +251,18 @@ type gateBackend struct {
 	Backend
 	gate      chan struct{}
 	panicNext bool
+	// entered, when non-nil, gets a token (dropped if one is pending)
+	// each time a statement reaches the gate.
+	entered chan struct{}
 }
 
 func (b *gateBackend) ApplyCtx(ctx context.Context, st *update.Statement) (*core.Report, error) {
+	if b.entered != nil {
+		select {
+		case b.entered <- struct{}{}:
+		default:
+		}
+	}
 	if b.gate != nil {
 		select {
 		case <-b.gate:
@@ -278,9 +287,9 @@ func mustStatement(t *testing.T, src string) *update.Statement {
 }
 
 func TestQueueFullBackpressure(t *testing.T) {
-	gate := make(chan struct{})
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
 	reg, ts := newTestRegistry(t, Config{QueueDepth: 1}, func(tenant string, b Backend) Backend {
-		return &gateBackend{Backend: b, gate: gate}
+		return &gateBackend{Backend: b, gate: gate, entered: entered}
 	})
 	db := ts.URL + "/v1/db/" + DefaultTenant
 	sh, err := reg.Get(DefaultTenant)
@@ -291,15 +300,20 @@ func TestQueueFullBackpressure(t *testing.T) {
 	st := `insert <person id="pq"><name>Queued</name></person> into /site/people`
 	// First submission occupies the writer (blocked on the gate); the
 	// second fills the one-slot queue; the third must bounce with 429.
+	// The second is submitted only once the first is parked at the gate:
+	// submitted together, the writer could drain both into one run.
 	results := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
 			_, _, err := sh.Apply(context.Background(), mustStatement(t, st))
 			results <- err
 		}()
+		if i == 0 {
+			<-entered
+		}
 	}
-	// Wait until the writer has dequeued the first request and the second
-	// sits in the queue, so the third submission deterministically bounces.
+	// Wait until the second sits in the queue, so the third submission
+	// deterministically bounces.
 	deadline := time.Now().Add(5 * time.Second)
 	for sh.QueueLen() != 1 {
 		if time.Now().After(deadline) {

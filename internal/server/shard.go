@@ -15,27 +15,30 @@
 //     isolation boundary: a hot tenant saturates only its own queue and
 //     writer, never another tenant's.
 //
-//   - Under write bursts the writer drains the queue adaptively: when more
-//     than one request is waiting, the batch of statements is translated to
-//     one combined delta through the pulopt planner (Section 5's
-//     aggregation/reduction with the IO/LO/NLO conflict rules as the safety
-//     gate) and propagated through the engine once per same-kind run,
-//     amortizing FindTargets, propagation, and — the dominant cost — the
-//     per-epoch snapshot over the whole batch. Any gate rejection, conflict,
-//     or already-cancelled request falls the batch back to per-statement
-//     application, so batching is never worse than the sequential path and
-//     never observable: every constituent statement is journaled before the
-//     engine mutates, the engine version advances by exactly the batch's
-//     statement count, and acks carry the single epoch published for the
-//     batch (read-your-writes holds unchanged).
+//   - The writer drains whatever is waiting, up to Config.MaxBatch
+//     requests, and hands the run to pulopt.ApplyRun — the one apply path
+//     the writer, replication followers and WAL recovery share. A lone
+//     request is applied directly. A longer run is planned once into one
+//     combined delta (Section 5's aggregation/reduction with the IO/LO/NLO
+//     conflict rules as the safety gate) and propagated through the engine
+//     once per same-kind run, amortizing FindTargets, propagation, and —
+//     the dominant cost — the per-epoch snapshot over the whole batch. Any
+//     gate rejection, conflict, or already-cancelled request falls the run
+//     back to per-statement application, so batching is never worse than
+//     the sequential path and never observable: every constituent
+//     statement is journaled before the engine mutates, the engine version
+//     advances by exactly the batch's statement count, and acks carry the
+//     single epoch published for the batch (read-your-writes holds
+//     unchanged).
 //
-//   - After every applied statement the writer publishes a fresh epoch: an
-//     immutable core.Snapshot (deep-copied view rows plus an ID-preserving
-//     document copy, stamped with the tenant name) swapped in with one
-//     atomic pointer store. Any number of concurrent readers serve view and
-//     XPath queries from the last published epoch without taking any lock
-//     the writer can contend on. Readers therefore observe only states that
-//     existed between whole statements — never a half-propagated view.
+//   - After every applied batch or statement the writer publishes a fresh
+//     epoch: an immutable core.Snapshot (deep-copied view rows plus an
+//     ID-preserving document copy, stamped with the tenant name) swapped in
+//     with one atomic pointer store. Any number of concurrent readers serve
+//     view and XPath queries from the last published epoch without taking
+//     any lock the writer can contend on. Readers therefore observe only
+//     states that existed between whole statements — never a
+//     half-propagated view.
 //
 //   - Shutdown closes the queue, lets the writer drain every accepted
 //     request, then syncs the backend (forcing the WAL group-commit buffer
@@ -43,8 +46,7 @@
 //
 // The Registry adds the tenant lifecycle on top (create, drop, list — all
 // crash-safe, see internal/wal's tenant layout) and the HTTP surface: the
-// data plane under /v1/db/{name}/…, the admin plane under /v1/db, and
-// deprecated single-tenant aliases mounted on the "default" tenant.
+// data plane under /v1/db/{name}/… and the admin plane under /v1/db.
 package server
 
 import (
@@ -77,42 +79,17 @@ var ErrReadOnly = errors.New("server: read-only follower")
 
 // Backend is what the serving layer needs from the engine side: the wal.DB
 // durability wrapper satisfies it directly, and EngineBackend adapts a bare
-// engine. All three methods are only ever called from the single writer
-// goroutine (Engine also at construction time).
+// engine. Every method is only ever called from the single writer goroutine
+// (Engine also at construction time).
 type Backend interface {
-	// Engine exposes the underlying maintenance engine.
-	Engine() *core.Engine
-	// ApplyCtx journals (when durable) and applies one statement.
-	ApplyCtx(ctx context.Context, st *update.Statement) (*core.Report, error)
-	// ApplyBatchCtx journals every constituent statement (when durable)
-	// and applies a translated batch, one propagation pass per unit. It
-	// returns the merged report and how many statements' effects landed —
-	// len(plan.Statements) unless journaling or a unit failed partway.
-	ApplyBatchCtx(ctx context.Context, plan *pulopt.BatchPlan) (*core.Report, int, error)
+	pulopt.Backend
 	// Sync forces buffered durability state (the WAL group-commit window)
 	// to disk; a no-op for non-durable backends.
 	Sync() error
 }
 
 // EngineBackend adapts a bare, non-durable engine to the Backend interface.
-type EngineBackend struct{ Eng *core.Engine }
-
-// Engine returns the wrapped engine.
-func (b EngineBackend) Engine() *core.Engine { return b.Eng }
-
-// ApplyCtx applies one statement through the engine.
-func (b EngineBackend) ApplyCtx(ctx context.Context, st *update.Statement) (*core.Report, error) {
-	return b.Eng.ApplyStatementCtx(ctx, st)
-}
-
-// ApplyBatchCtx applies a translated batch through the engine; with no
-// journal there is nothing to write ahead.
-func (b EngineBackend) ApplyBatchCtx(ctx context.Context, plan *pulopt.BatchPlan) (*core.Report, int, error) {
-	return b.Eng.ApplyBatchCtx(ctx, plan.Units)
-}
-
-// Sync is a no-op: a bare engine has no durability buffer.
-func (EngineBackend) Sync() error { return nil }
+type EngineBackend = pulopt.EngineBackend
 
 // Config tunes one shard (one tenant's serving loop). The zero value
 // selects the defaults noted on each field.
@@ -127,9 +104,10 @@ type Config struct {
 	// mutating anything.
 	RequestTimeout time.Duration
 	// MaxBatch caps how many waiting statements the writer drains into one
-	// translated batch (0 = default 32; 1 disables batching and restores
-	// strict per-statement application). Batching only engages when more
-	// than one request is already queued, so an idle tenant pays nothing.
+	// translated batch (0 = pulopt.DefaultMaxBatch; 1 disables batching
+	// and restores strict per-statement application). Batching only
+	// engages when more than one request is already queued, so an idle
+	// tenant pays nothing.
 	MaxBatch int
 	// Metrics selects the registry for the server.* and snapshot.*
 	// instruments (nil = obs.Default()).
@@ -145,7 +123,7 @@ func (c Config) queueDepth() int {
 
 func (c Config) maxBatch() int {
 	if c.MaxBatch <= 0 {
-		return 32
+		return pulopt.DefaultMaxBatch
 	}
 	return c.MaxBatch
 }
@@ -449,12 +427,7 @@ func (s *Shard) draining() bool {
 // before done is signalled.
 func (s *Shard) applyLoop() {
 	for req := range s.queue {
-		batch := s.drainBatch(req)
-		if len(batch) == 1 {
-			s.respond(batch[0], s.applyOne(batch[0]))
-		} else {
-			s.applyBatch(batch)
-		}
+		s.applyRun(s.drainBatch(req))
 	}
 	if err := s.backend.Sync(); err != nil {
 		s.m.syncErrors.Inc()
@@ -491,146 +464,115 @@ func (s *Shard) respond(req *applyReq, res applyResult) {
 	req.resp <- res
 }
 
-// applyOne applies one request and publishes the resulting epoch. Any new
-// engine version — even one reached on a partially cancelled statement —
-// is published before the client is answered, so an acknowledged update is
-// always readable (read-your-writes) and an unacknowledged one is at worst
-// readable early, never lost.
-func (s *Shard) applyOne(req *applyReq) applyResult {
-	if err := req.ctx.Err(); err != nil {
-		s.m.abandoned.Inc()
-		return applyResult{err: err}
-	}
-	t0 := time.Now()
-	rep, err := s.safeApply(req.ctx, req.st)
-	s.m.applyLatency.Observe(time.Since(t0))
-	if s.eng.Version() != s.Epoch().Version {
-		s.publish()
-	}
-	if err != nil {
-		s.m.applyErrors.Inc()
-		return applyResult{rep: rep, version: s.Epoch().Version, err: err}
-	}
-	s.m.applied.Inc()
-	s.tm.applied.Inc()
-	return applyResult{rep: rep, version: s.Epoch().Version}
-}
-
-// applyBatch translates a drained batch to one combined delta and applies
-// it with one propagation pass per same-kind run and ONE published epoch,
-// falling back to per-statement application whenever the translation cannot
-// prove sequential equivalence (conflicts, gated statement shapes) or any
-// request was already abandoned — behavior is then exactly the
-// pre-batching loop. Every request in a translated batch is answered with
-// the batch's published epoch version, preserving read-your-writes.
-func (s *Shard) applyBatch(batch []*applyReq) {
-	for _, req := range batch {
-		if req.ctx.Err() != nil {
-			// Per-request cancellation degrades the whole batch to the
-			// per-statement path, which skips abandoned requests before
-			// mutating anything.
-			s.fallback(batch, "cancelled")
-			return
-		}
-	}
-	stmts := make([]*update.Statement, len(batch))
+// applyRun applies drained requests through the run applier and answers
+// each one. After every step — a translated batch, or one statement on its
+// own — any new engine version, even one reached by a part-applied or
+// cancelled application, is published before the clients are answered, so
+// an acknowledged update is always readable (read-your-writes) and an
+// unacknowledged one is at worst readable early, never lost. Every request
+// in a translated batch is answered with the batch's single epoch version.
+func (s *Shard) applyRun(batch []*applyReq) {
+	run := make([]pulopt.Stmt, len(batch))
 	for i, req := range batch {
-		stmts[i] = req.st
+		run[i] = pulopt.Stmt{Ctx: req.ctx, St: req.st}
 	}
-	plan, err := pulopt.PlanBatch(s.eng, stmts)
-	if err != nil {
-		reason := "plan"
-		var nb *pulopt.NotBatchableError
-		if errors.As(err, &nb) {
-			reason = nb.Reason
+	// drainBatch never exceeds the cap, so the run is one chunk and a
+	// rejected plan is one fallback.
+	fellBack := false
+	_ = pulopt.ApplyRun(guardedBackend{s}, run, s.cfg.maxBatch(), func(st pulopt.Step) error {
+		if st.Rejected != "" && !fellBack {
+			fellBack = true
+			s.m.batchFallbacks.Inc()
+			s.m.reg.Counter("server.batch.fallback." + st.Rejected).Inc()
 		}
-		s.fallback(batch, reason)
-		return
-	}
-	t0 := time.Now()
-	rep, applied, err := s.safeApplyBatch(plan)
-	d := time.Since(t0)
-	s.m.applyLatency.Observe(d)
-	s.m.batchLatency.Observe(d)
-	if s.eng.Version() != s.Epoch().Version {
-		s.publish()
-	}
-	version := s.Epoch().Version
-	if err != nil {
+		req := batch[st.First]
+		if st.Abandoned {
+			s.m.abandoned.Inc()
+			s.respond(req, applyResult{err: st.Err})
+			return nil
+		}
+		if s.eng.Version() != s.Epoch().Version {
+			s.publish()
+		}
+		version := s.Epoch().Version
+		if st.Batched && st.Err == nil {
+			s.m.batches.Inc()
+			s.m.batchedStatements.Add(int64(st.Count))
+		}
 		// A batch failing mid-flight (journal error, engine fault) leaves
 		// the applied prefix in place — exactly what a durable log would
 		// replay. Acks follow the boundary: landed statements succeed at
 		// the published version, the rest report the error.
-		for i, req := range batch {
-			if i < applied {
+		for i, req := range batch[st.First : st.First+st.Count] {
+			if i < st.Applied {
 				s.m.applied.Inc()
 				s.tm.applied.Inc()
-				s.respond(req, applyResult{rep: rep, version: version})
+				s.respond(req, applyResult{rep: st.Report, version: version})
 			} else {
 				s.m.applyErrors.Inc()
-				s.respond(req, applyResult{version: version, err: err})
+				s.respond(req, applyResult{rep: st.Report, version: version, err: st.Err})
 			}
 		}
-		return
-	}
-	s.m.batches.Inc()
-	s.m.batchedStatements.Add(int64(len(batch)))
-	for _, req := range batch {
-		s.m.applied.Inc()
-		s.tm.applied.Inc()
-		s.respond(req, applyResult{rep: rep, version: version})
-	}
+		return nil
+	})
 }
 
-// fallback counts one batch translation rejection by reason and applies the
-// batch per-statement.
-func (s *Shard) fallback(batch []*applyReq, reason string) {
-	s.m.batchFallbacks.Inc()
-	s.m.reg.Counter("server.batch.fallback." + reason).Inc()
-	for _, req := range batch {
-		s.respond(req, s.applyOne(req))
-	}
-}
+// guardedBackend is the writer's backend for the run applier: it times
+// every application and contains a panic escaping the engine's own
+// per-view recovery (core.propagateAll repairs panicking views, but a panic
+// elsewhere in the apply path would otherwise kill the writer goroutine and
+// wedge every client of this tenant). The engine is then repaired by
+// recomputing all views and the application is reported failed.
+type guardedBackend struct{ s *Shard }
 
-// safeApply contains a panic escaping the engine's own per-view recovery
-// (core.propagateAll repairs panicking views, but a panic elsewhere in the
-// apply path would otherwise kill the writer goroutine and wedge every
-// client of this tenant). The engine is repaired by recomputing all views;
-// the statement is reported failed.
-func (s *Shard) safeApply(ctx context.Context, st *update.Statement) (rep *core.Report, err error) {
+func (g guardedBackend) Engine() *core.Engine { return g.s.eng }
+
+func (g guardedBackend) ApplyCtx(ctx context.Context, st *update.Statement) (rep *core.Report, err error) {
+	s := g.s
+	t0 := time.Now()
+	defer func() { s.m.applyLatency.Observe(time.Since(t0)) }()
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.applyPanics.Inc()
-			s.eng.RepairAllViews()
-			// A repair rebuilds state outside the delta stream (the document
-			// may even have changed without a version bump): cached results
-			// are no longer trustworthy at any version.
-			s.qcache.dropAll(s.eng.Version())
+			s.repair()
 			rep, err = nil, fmt.Errorf("server: apply panicked: %v", r)
 		}
 	}()
 	return s.backend.ApplyCtx(ctx, st)
 }
 
-// safeApplyBatch is safeApply for a translated batch. On a contained panic
-// or a mid-batch engine fault the views are repaired by recomputation so
-// the writer (and the epoch it publishes next) stays consistent; `applied`
+// ApplyBatchCtx also repairs the views after a mid-batch fault, so the
+// writer (and the epoch it publishes next) stays consistent; applied
 // reports how many statements' effects survive.
-func (s *Shard) safeApplyBatch(plan *pulopt.BatchPlan) (rep *core.Report, applied int, err error) {
+func (g guardedBackend) ApplyBatchCtx(ctx context.Context, plan *pulopt.BatchPlan) (rep *core.Report, applied int, err error) {
+	s := g.s
+	t0 := time.Now()
+	defer func() {
+		d := time.Since(t0)
+		s.m.applyLatency.Observe(d)
+		s.m.batchLatency.Observe(d)
+	}()
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.applyPanics.Inc()
-			s.eng.RepairAllViews()
-			s.qcache.dropAll(s.eng.Version())
+			s.repair()
 			rep, applied, err = nil, 0, fmt.Errorf("server: batch apply panicked: %v", r)
 		}
 	}()
-	rep, applied, err = s.backend.ApplyBatchCtx(context.Background(), plan)
+	rep, applied, err = s.backend.ApplyBatchCtx(ctx, plan)
 	if err != nil && applied < len(plan.Statements) {
-		s.eng.RepairAllViews()
-		s.qcache.dropAll(s.eng.Version())
+		s.repair()
 	}
 	return rep, applied, err
+}
+
+// repair recomputes every view after a contained fault. A repair rebuilds
+// state outside the delta stream (the document may even have changed
+// without a version bump): cached results are no longer trustworthy at any
+// version.
+func (s *Shard) repair() {
+	s.eng.RepairAllViews()
+	s.qcache.dropAll(s.eng.Version())
 }
 
 // publish captures the engine state, stamps it with the tenant name, and

@@ -26,6 +26,9 @@ import (
 //   - recovery may fail outright only if nothing was acknowledged (a crash
 //     inside Create, before the initial checkpoint published).
 
+// crashStatements is the script whose post-checkpoint tail holds a replace,
+// which the batch planner rejects: recovery replays it statement by
+// statement.
 var crashStatements = []string{
 	`for $x in /site/people/person insert <phone>+33 555 0199</phone>`,
 	`insert <person id="personX"><name>Nova Quinn</name></person> into /site/people`,
@@ -35,10 +38,27 @@ var crashStatements = []string{
 	`delete /site/catgraph`,
 }
 
-// runCrashScript drives one scripted session against fsys: create, register
-// a view, apply the statements with a checkpoint mid-way. It returns how
-// many statements were acknowledged before the first error.
+// batchedCrashStatements is the script whose post-checkpoint tail the
+// planner accepts: recovering the complete log replays it as one translated
+// batch.
+var batchedCrashStatements = []string{
+	`for $x in /site/people/person insert <phone>+33 555 0199</phone>`,
+	`insert <person id="personX"><name>Nova Quinn</name></person> into /site/people`,
+	`delete /site/people/person/phone`,
+	`insert <note>tail one</note> into /site/regions`,
+	`insert <note>tail two</note> into /site/open_auctions`,
+	`delete /site/catgraph`,
+}
+
+// runCrashScript runs crashStatements through runScript.
 func runCrashScript(dir string, fsys FS) (acked int, err error) {
+	return runScript(dir, fsys, crashStatements)
+}
+
+// runScript drives one scripted session against fsys: create, register a
+// view, apply the statements with a checkpoint mid-way. It returns how many
+// statements were acknowledged before the first error.
+func runScript(dir string, fsys FS, script []string) (acked int, err error) {
 	opts := Options{
 		Sync:         SyncAlways,
 		SegmentBytes: 256, // force rotation inside the script
@@ -53,8 +73,8 @@ func runCrashScript(dir string, fsys FS) (acked int, err error) {
 	if _, err := db.AddView("Q1", xmark.View("Q1").String()); err != nil {
 		return 0, err
 	}
-	for i, src := range crashStatements {
-		if i == len(crashStatements)/2 {
+	for i, src := range script {
+		if i == len(script)/2 {
 			if err := db.Checkpoint(); err != nil {
 				return acked, err
 			}
@@ -71,16 +91,23 @@ func runCrashScript(dir string, fsys FS) (acked int, err error) {
 	return acked, db.Close()
 }
 
-// prefixDocs returns the document serialization after each statement
-// prefix, computed with the plain update machinery — the oracle states.
+// prefixDocs returns scriptPrefixDocs of crashStatements.
 func prefixDocs(t *testing.T) []string {
+	t.Helper()
+	return scriptPrefixDocs(t, crashStatements)
+}
+
+// scriptPrefixDocs returns the document serialization after each statement
+// prefix of script, computed with the plain update machinery — the oracle
+// states.
+func scriptPrefixDocs(t *testing.T, script []string) []string {
 	t.Helper()
 	d, err := xmltree.ParseString(xmark.GenerateSmall(11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := []string{d.String()}
-	for _, src := range crashStatements {
+	for _, src := range script {
 		st, err := update.Parse(src)
 		if err != nil {
 			t.Fatal(err)
@@ -107,77 +134,99 @@ func TestCrashMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash matrix is a full fault-injection sweep")
 	}
+	for _, tc := range []struct {
+		name    string
+		script  []string
+		batched bool // whether recovering the crash-free log replays a translated batch
+	}{
+		{"eager", crashStatements, false},
+		{"batched", batchedCrashStatements, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			crashMatrix(t, tc.script, tc.batched)
+		})
+	}
+}
+
+// crashMatrix runs the crash sweep over one script.
+func crashMatrix(t *testing.T, script []string, batched bool) {
 	// Probe: count the script's filesystem operations on a crash-free run.
 	probeDir := t.TempDir()
 	probe := NewFailFS(OSFS)
-	acked, err := runCrashScript(probeDir, probe)
+	acked, err := runScript(probeDir, probe, script)
 	if err != nil {
 		t.Fatalf("probe run failed: %v", err)
 	}
-	if acked != len(crashStatements) {
+	if acked != len(script) {
 		t.Fatalf("probe acked %d statements", acked)
 	}
 	totalOps := probe.Ops()
 	if totalOps < 20 {
 		t.Fatalf("suspiciously few operations to crash at: %d", totalOps)
 	}
-	prefixes := prefixDocs(t)
+	prefixes := scriptPrefixDocs(t, script)
 
-	for _, compact := range []bool{false, true} {
-		name := "eager"
-		if compact {
-			name = "compact"
+	// The probe's complete log pins down which replay path the sweep
+	// exercises.
+	re, err := Open(probeDir, Options{Metrics: obs.New()})
+	if err != nil {
+		t.Fatalf("probe recovery: %v", err)
+	}
+	if got := re.Stats().Batches > 0; got != batched {
+		t.Fatalf("probe recovery replayed %d translated batches, want batched=%v", re.Stats().Batches, batched)
+	}
+	if re.Engine().Doc.String() != prefixes[len(prefixes)-1] {
+		t.Fatal("probe recovery diverges from the final statement prefix")
+	}
+	re.Close()
+
+	tornRuns := 0
+	for at := 0; at < totalOps; at++ {
+		dir := t.TempDir()
+		ffs := NewFailFS(OSFS)
+		ffs.CrashAt = at
+		acked, err := runScript(dir, ffs, script)
+		if err == nil {
+			t.Fatalf("crash at op %d did not surface", at)
 		}
-		t.Run(name, func(t *testing.T) {
-			tornRuns := 0
-			for at := 0; at < totalOps; at++ {
-				dir := t.TempDir()
-				ffs := NewFailFS(OSFS)
-				ffs.CrashAt = at
-				acked, err := runCrashScript(dir, ffs)
-				if err == nil {
-					t.Fatalf("crash at op %d did not surface", at)
-				}
-				if !errors.Is(err, ErrCrash) {
-					t.Fatalf("crash at op %d: unexpected error %v", at, err)
-				}
+		if !errors.Is(err, ErrCrash) {
+			t.Fatalf("crash at op %d: unexpected error %v", at, err)
+		}
 
-				re, err := Open(dir, Options{Compact: compact, Metrics: obs.New()})
-				if err != nil {
-					if acked > 0 {
-						t.Fatalf("crash at op %d: %d statements acknowledged but recovery failed: %v", at, acked, err)
-					}
-					continue // crash inside Create, nothing promised yet
-				}
-				if re.Stats().TruncatedBytes > 0 {
-					tornRuns++
-				}
-				got := re.Engine().Doc.String()
-				k := -1
-				for i := len(prefixes) - 1; i >= 0; i-- {
-					if prefixes[i] == got {
-						k = i
-						break
-					}
-				}
-				if k < 0 {
-					t.Fatalf("crash at op %d: recovered document matches no statement prefix", at)
-				}
-				if k < acked {
-					t.Fatalf("crash at op %d: recovered prefix %d but %d statements were acknowledged", at, k, acked)
-				}
-				for _, mv := range re.Engine().Views {
-					want := algebra.Materialize(re.Engine().Doc, mv.Pattern)
-					if !mv.View.EqualRows(want) {
-						t.Fatalf("crash at op %d: recovered view %s diverges from fresh evaluation", at, mv.Name)
-					}
-				}
-				re.Close()
+		re, err := Open(dir, Options{Metrics: obs.New()})
+		if err != nil {
+			if acked > 0 {
+				t.Fatalf("crash at op %d: %d statements acknowledged but recovery failed: %v", at, acked, err)
 			}
-			if tornRuns == 0 {
-				t.Fatal("no crash point produced a torn log tail; the matrix is not exercising truncation")
+			continue // crash inside Create, nothing promised yet
+		}
+		if re.Stats().TruncatedBytes > 0 {
+			tornRuns++
+		}
+		got := re.Engine().Doc.String()
+		k := -1
+		for i := len(prefixes) - 1; i >= 0; i-- {
+			if prefixes[i] == got {
+				k = i
+				break
 			}
-		})
+		}
+		if k < 0 {
+			t.Fatalf("crash at op %d: recovered document matches no statement prefix", at)
+		}
+		if k < acked {
+			t.Fatalf("crash at op %d: recovered prefix %d but %d statements were acknowledged", at, k, acked)
+		}
+		for _, mv := range re.Engine().Views {
+			want := algebra.Materialize(re.Engine().Doc, mv.Pattern)
+			if !mv.View.EqualRows(want) {
+				t.Fatalf("crash at op %d: recovered view %s diverges from fresh evaluation", at, mv.Name)
+			}
+		}
+		re.Close()
+	}
+	if tornRuns == 0 {
+		t.Fatal("no crash point produced a torn log tail; the matrix is not exercising truncation")
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"xivm/internal/obs"
 	"xivm/internal/pattern"
 	"xivm/internal/pulopt"
-	"xivm/internal/store"
 	"xivm/internal/update"
 	"xivm/internal/xmltree"
 )
@@ -27,8 +26,8 @@ const (
 	recView = 'v'
 )
 
-// Options tunes a DB. The zero value is SyncAlways, 4 MiB segments, manual
-// checkpoints only, eager recovery.
+// Options tunes a DB. The zero value is SyncAlways, 4 MiB segments and
+// manual checkpoints only.
 type Options struct {
 	// Sync is the fsync policy for statement appends.
 	Sync SyncPolicy
@@ -42,10 +41,6 @@ type Options struct {
 	// KeepCheckpoints is how many published checkpoints survive pruning
 	// (default 2: the newest plus one fallback).
 	KeepCheckpoints int
-	// Compact runs pulopt log compaction over the replay tail during
-	// recovery; replay falls back to the eager path whenever compaction
-	// cannot prove itself sound (see compact.go).
-	Compact bool
 	// PinTTL is how long a replication follower's stream read pins the log
 	// suffix against checkpoint truncation without being refreshed
 	// (0 = default 30s). A follower that stalls past it falls back to
@@ -76,10 +71,9 @@ type DB struct {
 
 	eng     *core.Engine
 	log     *Log
-	sources map[string]string // view name -> pattern source, in ckptImg+log order
+	sources map[string]string // view name -> pattern source, in checkpoint+log order
 	order   []string          // registration order of sources
 
-	ckptImg   *checkpointImage // the checkpoint this process recovered from
 	sinceCkpt int
 	replaying bool
 	stats     RecoveryStats
@@ -130,13 +124,12 @@ func (db *DB) logOptions(start uint64) LogOptions {
 	}
 }
 
-// buildEngine constructs the engine over doc with the DB's journal hook
-// appended last, so a caller-supplied option cannot displace it.
-func (db *DB) buildEngine(doc *xmltree.Document) *core.Engine {
+// engineOptions is the caller's engine configuration with the DB's journal
+// hook appended last, so a caller-supplied option cannot displace it.
+func (db *DB) engineOptions() []core.Option {
 	opts := make([]core.Option, 0, len(db.opts.Engine)+1)
 	opts = append(opts, db.opts.Engine...)
-	opts = append(opts, core.WithJournal(db.journal))
-	return core.New(doc, opts...)
+	return append(opts, core.WithJournal(db.journal))
 }
 
 // journal is the engine's write-ahead hook: the statement's canonical form
@@ -174,11 +167,10 @@ func Create(dir string, docXML []byte, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: create: %w", err)
 	}
-	db.eng = db.buildEngine(doc)
+	db.eng = core.New(doc, db.engineOptions()...)
 	if err := writeCheckpoint(db.fs, db.m, dir, db.eng, db.sources, 0); err != nil {
 		return nil, err
 	}
-	db.ckptImg = &checkpointImage{Manifest: store.NewManifest(0), DocXML: []byte(doc.String()), Ords: doc.EncodeOrds()}
 	db.log, err = OpenLog(db.walDir, db.logOptions(1))
 	if err != nil {
 		return nil, err
@@ -203,7 +195,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	// Newest checkpoint that passes every hash; corrupted ones are counted
 	// and skipped in favor of older fallbacks.
-	var img *checkpointImage
+	var img *ReplImage
 	for i := len(lsns) - 1; i >= 0 && img == nil; i-- {
 		im, lerr := loadCheckpoint(db.fs, dir, lsns[i])
 		if lerr != nil {
@@ -261,44 +253,22 @@ func OpenOrCreate(dir string, docXML []byte, opts Options) (*DB, error) {
 	return Open(dir, opts)
 }
 
-// restore rebuilds the engine from a verified checkpoint image: parse the
-// document, re-impose the recorded ordinal stream so every node carries the
-// exact Dewey ID it had in the live engine (the snapshot rows' IDs resolve,
-// and the restored process answers queries with byte-identical IDs), then
-// install every view from its snapshot rows without re-evaluating patterns.
-func (db *DB) restore(img *checkpointImage) error {
-	doc, err := xmltree.ParseString(string(img.DocXML))
+// restore rebuilds the engine from a verified checkpoint image, through the
+// same ReplImage.Restore a replication follower uses, with the DB's journal
+// hook installed.
+func (db *DB) restore(img *ReplImage) error {
+	eng, err := img.Restore(db.engineOptions()...)
 	if err != nil {
-		return fmt.Errorf("wal: checkpoint document: %w", err)
+		return err
 	}
-	if err := doc.ApplyOrds(img.Ords); err != nil {
-		return fmt.Errorf("wal: checkpoint ordinal stream: %w", err)
-	}
-	db.eng = db.buildEngine(doc)
+	db.eng = eng
 	db.sources = map[string]string{}
 	db.order = nil
 	for _, v := range img.Manifest.Views {
-		p, err := pattern.Parse(v.Pattern)
-		if err != nil {
-			return fmt.Errorf("wal: checkpoint view %s pattern: %w", v.Name, err)
-		}
-		rows, err := store.DecodeSnapshot(img.Views[v.Name])
-		if err != nil {
-			return fmt.Errorf("wal: checkpoint view %s snapshot: %w", v.Name, err)
-		}
-		if _, err := db.eng.AddViewRows(v.Name, p, rows); err != nil {
-			return fmt.Errorf("wal: checkpoint view %s: %w", v.Name, err)
-		}
 		db.sources[v.Name] = v.Pattern
 		db.order = append(db.order, v.Name)
 	}
-	db.ckptImg = img
 	db.lastCkpt.Store(img.Manifest.LSN)
-	// Seed the version counter from the manifest so replaying the log
-	// suffix reproduces the exact version numbers the pre-crash engine
-	// reported — and a follower restoring the same image converges on them
-	// too. Old manifests carry 0, preserving their historical behavior.
-	db.eng.SetVersion(img.Manifest.EngineVersion)
 	return nil
 }
 
@@ -403,9 +373,8 @@ func (db *DB) ApplyCtx(ctx context.Context, st *update.Statement) (*core.Report,
 
 // ApplyBatchCtx journals every constituent statement of a translated batch
 // — write-ahead, riding the group-commit window, in statement order so
-// replay (always per-statement) reproduces the same sequence — and then
-// applies the plan's combined units through the engine, one propagation
-// pass per unit.
+// replay reproduces the same sequence — and then applies the plan's
+// combined units through the engine, one propagation pass per unit.
 //
 // If journaling fails partway, the batch degrades to what the durable log
 // will replay: the already-journaled prefix is applied per-statement from

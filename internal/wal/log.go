@@ -1,10 +1,9 @@
 // Package wal is the durability subsystem: a segmented append-only
 // write-ahead log of canonical update statements, atomic checkpoints of the
 // document and every managed view, and crash recovery that loads the newest
-// valid checkpoint and replays the surviving log suffix — optionally
-// compacted first with the pending-update-list reduction rules of
-// internal/pulopt, so replay cost shrinks the same way propagation cost
-// does.
+// valid checkpoint and replays the surviving log suffix, batching statement
+// runs through the same run applier (pulopt.ApplyRun) as the serving writer
+// and replication followers.
 //
 // The paper's premise is that incrementally maintained views are cheap to
 // keep; without this layer a process restart throws every materialized view

@@ -182,11 +182,11 @@ func ReadSegmentFrames(fsys FS, walDir string, from uint64, maxBytes int) ([]byt
 	return out, next, nil
 }
 
-// ReplImage is a checkpoint image in wire-transportable form: the raw
-// manifest bytes exactly as written (the follower re-verifies them, and the
-// hashes inside bind the rest), the document XML, its ordinal stream (the
-// live Dewey-ID space, see xmltree.EncodeOrds), and each view's encoded
-// snapshot.
+// ReplImage is a verified checkpoint image, loaded from disk by recovery or
+// shipped to a replication follower: the raw manifest bytes exactly as
+// written (the follower re-verifies them, and the hashes inside bind the
+// rest), the document XML, its ordinal stream (the live Dewey-ID space, see
+// xmltree.EncodeOrds), and each view's encoded snapshot.
 type ReplImage struct {
 	RawManifest []byte
 	Manifest    *store.Manifest
@@ -195,61 +195,62 @@ type ReplImage struct {
 	Views       map[string][]byte
 }
 
-// NewReplImage validates a transported checkpoint image with exactly the
-// checks recovery applies to an on-disk one: manifest decode, document and
-// ordinal-stream hash/size, and every view's hash/size, with no view
-// missing.
+// NewReplImage validates a checkpoint image, on-disk or transported:
+// manifest decode, document and ordinal-stream hash/size, and every view's
+// hash/size, with no view missing.
 func NewReplImage(rawManifest, docXML, ords []byte, views map[string][]byte) (*ReplImage, error) {
 	man, err := store.DecodeManifest(rawManifest)
 	if err != nil {
 		return nil, err
 	}
 	if int64(len(docXML)) != man.DocBytes || store.HashBytes(docXML) != man.DocHash {
-		return nil, fmt.Errorf("wal: repl image at lsn %d: document fails its hash", man.LSN)
+		return nil, fmt.Errorf("wal: checkpoint image at lsn %d: document fails its hash", man.LSN)
 	}
 	if int64(len(ords)) != man.OrdsBytes || store.HashBytes(ords) != man.OrdsHash {
-		return nil, fmt.Errorf("wal: repl image at lsn %d: ordinal stream fails its hash", man.LSN)
+		return nil, fmt.Errorf("wal: checkpoint image at lsn %d: ordinal stream fails its hash", man.LSN)
 	}
 	img := &ReplImage{RawManifest: rawManifest, Manifest: man, DocXML: docXML, Ords: ords, Views: make(map[string][]byte, len(man.Views))}
 	for _, v := range man.Views {
 		snap, ok := views[v.Name]
 		if !ok {
-			return nil, fmt.Errorf("wal: repl image at lsn %d: view %s missing", man.LSN, v.Name)
+			return nil, fmt.Errorf("wal: checkpoint image at lsn %d: view %s missing", man.LSN, v.Name)
 		}
 		if int64(len(snap)) != v.Bytes || store.HashBytes(snap) != v.Hash {
-			return nil, fmt.Errorf("wal: repl image at lsn %d: view %s fails its hash", man.LSN, v.Name)
+			return nil, fmt.Errorf("wal: checkpoint image at lsn %d: view %s fails its hash", man.LSN, v.Name)
 		}
 		img.Views[v.Name] = snap
 	}
 	return img, nil
 }
 
-// Restore builds a fresh engine from the image, exactly as crash recovery
-// would: parse the document, re-impose the recorded ordinal stream (so the
-// snapshot rows' IDs resolve and the follower serves the leader's exact
-// node IDs), install every view from its snapshot without re-evaluating
-// patterns, and seed the version counter from the manifest so subsequent
-// replay reproduces the leader's version numbers.
+// Restore builds a fresh engine from the image; crash recovery and
+// follower catch-up both restore through it. It parses the document,
+// re-imposes the recorded ordinal stream (so the snapshot rows' IDs
+// resolve and a restored process serves the live engine's exact node IDs),
+// installs every view from its snapshot without re-evaluating patterns, and
+// seeds the version counter from the manifest so replaying the log suffix
+// reproduces the live version numbers. Old manifests carry version 0,
+// preserving their historical behavior.
 func (img *ReplImage) Restore(opts ...core.Option) (*core.Engine, error) {
 	doc, err := xmltree.ParseString(string(img.DocXML))
 	if err != nil {
-		return nil, fmt.Errorf("wal: repl image document: %w", err)
+		return nil, fmt.Errorf("wal: checkpoint image document: %w", err)
 	}
 	if err := doc.ApplyOrds(img.Ords); err != nil {
-		return nil, fmt.Errorf("wal: repl image ordinal stream: %w", err)
+		return nil, fmt.Errorf("wal: checkpoint image ordinal stream: %w", err)
 	}
 	eng := core.New(doc, opts...)
 	for _, v := range img.Manifest.Views {
 		p, err := pattern.Parse(v.Pattern)
 		if err != nil {
-			return nil, fmt.Errorf("wal: repl image view %s pattern: %w", v.Name, err)
+			return nil, fmt.Errorf("wal: checkpoint image view %s pattern: %w", v.Name, err)
 		}
 		rows, err := store.DecodeSnapshot(img.Views[v.Name])
 		if err != nil {
-			return nil, fmt.Errorf("wal: repl image view %s snapshot: %w", v.Name, err)
+			return nil, fmt.Errorf("wal: checkpoint image view %s snapshot: %w", v.Name, err)
 		}
 		if _, err := eng.AddViewRows(v.Name, p, rows); err != nil {
-			return nil, fmt.Errorf("wal: repl image view %s: %w", v.Name, err)
+			return nil, fmt.Errorf("wal: checkpoint image view %s: %w", v.Name, err)
 		}
 	}
 	eng.SetVersion(img.Manifest.EngineVersion)
@@ -366,40 +367,11 @@ func (db *DB) ReplImageNow() (*ReplImage, error) {
 		if len(lsns) == 0 {
 			return nil, fmt.Errorf("wal: %s holds no checkpoint", db.dir)
 		}
-		img, err := db.loadReplImage(lsns[len(lsns)-1])
+		img, err := loadCheckpoint(db.fs, db.dir, lsns[len(lsns)-1])
 		if err == nil {
 			return img, nil
 		}
 		lastErr = err
 	}
 	return nil, lastErr
-}
-
-func (db *DB) loadReplImage(lsn uint64) (*ReplImage, error) {
-	base := filepath.Join(db.dir, ckptName(lsn))
-	raw, err := db.fs.ReadFile(filepath.Join(base, "MANIFEST"))
-	if err != nil {
-		return nil, err
-	}
-	man, err := store.DecodeManifest(raw)
-	if err != nil {
-		return nil, err
-	}
-	doc, err := db.fs.ReadFile(filepath.Join(base, "doc.xml"))
-	if err != nil {
-		return nil, err
-	}
-	ords, err := db.fs.ReadFile(filepath.Join(base, "doc.ords"))
-	if err != nil {
-		return nil, err
-	}
-	views := make(map[string][]byte, len(man.Views))
-	for _, v := range man.Views {
-		snap, err := db.fs.ReadFile(filepath.Join(base, v.Name+".xivm"))
-		if err != nil {
-			return nil, err
-		}
-		views[v.Name] = snap
-	}
-	return NewReplImage(raw, doc, ords, views)
 }

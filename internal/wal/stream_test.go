@@ -264,10 +264,14 @@ func TestReplImageRestore(t *testing.T) {
 	}
 }
 
-// TestCompactRecoveryVersionMatchesEager pins the version-determinism
-// contract replication depends on: recovering the same log with and without
-// compaction must land the engine on the same version number.
-func TestCompactRecoveryVersionMatchesEager(t *testing.T) {
+// TestBatchedRecoveryMatchesPreClose pins the contract replication and
+// recovery share: replaying a tail through the run applier lands on exactly
+// the pre-close engine state — version, Dewey ID space, every view's rows —
+// with the same per-record accounting as statement-by-statement replay. The
+// tail holds a batchable run, a view record (a barrier), and a run with an
+// engine-rejected statement in its middle (the planner rejects that chunk,
+// and the rejected statement is skipped on its own).
+func TestBatchedRecoveryMatchesPreClose(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Create(dir, []byte(xmark.GenerateSmall(1)), Options{Metrics: obs.New()})
 	if err != nil {
@@ -279,34 +283,61 @@ func TestCompactRecoveryVersionMatchesEager(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Insert-then-delete churn (compactable) plus a replace (version +2).
 	applyAll(t, db, []string{
 		`insert <person id="pz"><name>Zed</name></person> into /site/people`,
-		`for $x in /site/people/person insert <phone>+1 555 0000</phone>`,
-		`delete /site/people/person/phone`,
-		`replace /site/people/person/name with <name>Renamed</name>`,
+		`insert <note>batched</note> into /site/regions`,
+		`delete /site/catgraph`,
 	})
-	want := db.Engine().Version()
+	if _, err := db.AddView("Q2", xmark.View("Q2").String()); err != nil {
+		t.Fatal(err)
+	}
+	applyAll(t, db, []string{`insert <note>fallback</note> into /site/open_auctions`})
+	if _, err := db.Apply(mustStatement(t, `delete /site`)); err == nil {
+		t.Fatal("root delete accepted")
+	}
+	applyAll(t, db, []string{`replace /site/people/person/name with <name>Renamed</name>`})
+
+	pre := db.Engine()
+	wantVersion, wantOrds := pre.Version(), pre.Doc.EncodeOrds()
+	wantRows := map[string][]algebra.Row{}
+	for _, mv := range pre.Views {
+		wantRows[mv.Name] = mv.View.Rows()
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	eager, err := Open(dir, Options{Metrics: obs.New()})
+	reg := obs.New()
+	re, err := Open(dir, Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := eager.Engine().Version(); got != want {
-		t.Fatalf("eager recovery version %d, want %d", got, want)
+	defer re.Close()
+	st := re.Stats()
+	if st.Batches == 0 {
+		t.Fatalf("recovery replayed no translated batch: %+v", st)
 	}
-	eager.Close()
-
-	compacted, err := Open(dir, Options{Metrics: obs.New(), Compact: true})
-	if err != nil {
-		t.Fatal(err)
+	// Five applied statements plus the view record; the root delete skipped.
+	if st.Replayed != 6 || st.Skipped != 1 {
+		t.Fatalf("replayed %d skipped %d, want 6 and 1", st.Replayed, st.Skipped)
 	}
-	defer compacted.Close()
-	if got := compacted.Engine().Version(); got != want {
-		t.Fatalf("compacted recovery version %d, want %d", got, want)
+	if got := reg.CounterValue("wal.recover.replayed"); got != 6 {
+		t.Fatalf("wal.recover.replayed = %d, want 6 (statements and views, not batches)", got)
 	}
-	checkViews(t, compacted)
+	eng := re.Engine()
+	if got := eng.Version(); got != wantVersion {
+		t.Fatalf("recovered version %d, want %d", got, wantVersion)
+	}
+	if !bytes.Equal(eng.Doc.EncodeOrds(), wantOrds) {
+		t.Fatal("recovered Dewey ID space differs from the pre-close engine")
+	}
+	if len(eng.Views) != len(wantRows) {
+		t.Fatalf("recovered %d views, want %d", len(eng.Views), len(wantRows))
+	}
+	for _, mv := range eng.Views {
+		if !mv.View.EqualRows(wantRows[mv.Name]) {
+			t.Fatalf("recovered view %s differs from the pre-close engine", mv.Name)
+		}
+	}
+	checkViews(t, re)
 }
