@@ -12,8 +12,7 @@
 // -json runs the hot-path micro suite (structural join, duplicate
 // elimination, word-relation access, end-to-end propagation) and writes a
 // machine-readable report; -query-json does the same for the query suite
-// (compiled vs interpreted XPath per shape) and -rewrite-json for the
-// view-rewrite suite (view rewrite vs tree walk per plan shape).
+// (compiled vs interpreted XPath per shape).
 // EXPERIMENTS.md describes how perf PRs combine such runs into a committed
 // BENCH_<pr>.json.
 package main
@@ -35,7 +34,6 @@ func main() {
 	metrics := flag.String("metrics", "", `dump the whole run's engine metrics when done: "json" for stdout, or a file path`)
 	jsonOut := flag.String("json", "", `run the hot-path micro suite and write its machine-readable report (BENCH_*.json input): "-" for stdout, or a file path`)
 	queryJSONOut := flag.String("query-json", "", `run the query micro suite (compiled vs interpreted XPath per shape at -small) and write its machine-readable report: "-" for stdout, or a file path`)
-	rewriteJSONOut := flag.String("rewrite-json", "", `run the rewrite micro suite (view rewrite vs tree walk per plan shape at -small) and write its machine-readable report: "-" for stdout, or a file path`)
 	batchJSONOut := flag.String("batch-json", "", `run the shard burst suite (batched vs per-statement serving throughput at -size and 4x -size) and write its machine-readable report: "-" for stdout, or a file path`)
 	serveAddr := flag.String("serve", "", "serve /debug/pprof and /debug/vars on this address while benchmarks run (e.g. :6060)")
 	flag.Parse()
@@ -55,7 +53,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "xivmbench:", err)
 			os.Exit(1)
 		}
-		if len(flag.Args()) == 0 && *batchJSONOut == "" && *queryJSONOut == "" && *rewriteJSONOut == "" {
+		if len(flag.Args()) == 0 && *batchJSONOut == "" && *queryJSONOut == "" {
 			return
 		}
 	}
@@ -72,26 +70,6 @@ func main() {
 			out = f
 		}
 		if err := bench.WriteQueryJSON(out, *small); err != nil {
-			fmt.Fprintln(os.Stderr, "xivmbench:", err)
-			os.Exit(1)
-		}
-		if len(flag.Args()) == 0 && *batchJSONOut == "" && *rewriteJSONOut == "" {
-			return
-		}
-	}
-
-	if *rewriteJSONOut != "" {
-		out := os.Stdout
-		if *rewriteJSONOut != "-" {
-			f, err := os.Create(*rewriteJSONOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "xivmbench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := bench.WriteRewriteJSON(out, *small); err != nil {
 			fmt.Fprintln(os.Stderr, "xivmbench:", err)
 			os.Exit(1)
 		}

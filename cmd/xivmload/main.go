@@ -96,21 +96,8 @@ var defaultQueries = []string{
 	`/site/open_auctions/open_auction/bidder[1]/increase`,
 	`//bidder/following-sibling::current`,
 	`//person[starts-with(@id,'person1')]`,
-	// Served by the view-rewrite layer when the R-views below cover them:
-	// a two-view stitch and a root intersection.
 	`//open_auction//bidder//increase`,
 	`//open_auction[bidder]//initial`,
-}
-
-// selfserveRewriteViews is the ID-complete library -selfserve registers
-// alongside the paper's Q1/Q2, sized so the default query mix exercises
-// all three rewrite plan shapes (single, stitch, intersection).
-var selfserveRewriteViews = []server.ViewSpec{
-	{Name: "R1", Pattern: `/site{ID}/people{ID}/person{ID}/name{ID,val}`},
-	{Name: "R2", Pattern: `//open_auction{ID}//bidder{ID}`},
-	{Name: "R3", Pattern: `//bidder{ID}//increase{ID,val}`},
-	{Name: "R4", Pattern: `//open_auction{ID}//initial{ID,val}`},
-	{Name: "R5", Pattern: `//open_auction{ID}//increase{ID,val}`},
 }
 
 // opStats aggregates one operation class with lock-free hot-path updates.
@@ -209,7 +196,6 @@ func run() error {
 		for _, name := range []string{"Q1", "Q2"} {
 			defaultViews = append(defaultViews, server.ViewSpec{Name: name, Pattern: xmark.View(name).String()})
 		}
-		defaultViews = append(defaultViews, selfserveRewriteViews...)
 		reg, err := server.NewRegistry(server.RegistryConfig{
 			Shard:        server.Config{MaxBatch: *maxBatch},
 			DefaultDoc:   xmark.GenerateSmall(*scale),
@@ -384,7 +370,7 @@ func run() error {
 	if *followerURL != "" {
 		fmt.Fprintf(&b, "max observed replication lag: %d LSN(s)\n", maxLag.Load())
 	}
-	reportRewrite(ctx, &b, base)
+	reportResultCache(ctx, &b, base)
 	fmt.Print(b.String())
 
 	if n := readStats.errors.Load() + xpathStats.errors.Load() + writeStats.errors.Load(); n > 0 {
@@ -409,12 +395,10 @@ func run() error {
 	return nil
 }
 
-// reportRewrite fetches the server's /v1/metrics and summarizes how the
-// XPath read mix was actually served: view-rewrite hits vs tree-walk
-// misses, the plan-shape split, and the result cache's hit/invalidation
-// balance. Best-effort — an older server without these counters just
-// reports nothing.
-func reportRewrite(ctx context.Context, b *strings.Builder, base string) {
+// reportResultCache fetches the server's /v1/metrics and prints the XPath
+// result cache's hits and delta-stream invalidations. Best-effort: when
+// the metrics cannot be fetched it reports nothing.
+func reportResultCache(ctx context.Context, b *strings.Builder, base string) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/metrics", nil)
 	if err != nil {
 		return
@@ -437,14 +421,7 @@ func reportRewrite(ctx context.Context, b *strings.Builder, base string) {
 	for _, cs := range snap.Counters {
 		c[cs.Name] = cs.Value
 	}
-	hits, misses := c["server.xpath.rewrite.hit"], c["server.xpath.rewrite.miss"]
-	if hits+misses == 0 {
-		return
-	}
-	fmt.Fprintf(b, "xpath serving: %d view-rewritten (%.1f%%), %d tree-walked; plans %d stitch / %d intersect\n",
-		hits, 100*float64(hits)/float64(hits+misses), misses,
-		c["server.xpath.rewrite.stitch"], c["server.xpath.rewrite.intersect"])
-	fmt.Fprintf(b, "result cache: %d hits, %d entries invalidated by the delta stream\n",
+	fmt.Fprintf(b, "xpath result cache: %d hits, %d entries invalidated by the delta stream\n",
 		c["server.xpath.rewrite.cache_hit"], c["server.xpath.rewrite.cache_invalidate"])
 }
 

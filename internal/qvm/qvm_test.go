@@ -2,7 +2,9 @@ package qvm
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"xivm/internal/algebra"
 	"xivm/internal/pattern"
@@ -352,5 +354,62 @@ func TestCompiledEvalSeesMutations(t *testing.T) {
 	want := xpath.Eval(d, p)
 	if len(got) != len(want) {
 		t.Fatalf("after delete: compiled %d matches, interpreted %d", len(got), len(want))
+	}
+}
+
+// TestHeldMachineDoesNotPinDocument: a machine kept across evaluations
+// (pooled machines live as long as the process) must not keep the last
+// document it walked reachable. Every node reaches its whole tree through
+// Parent/Children, so one stale pointer in a reused node buffer, or a
+// leftover document reference, pins an entire old epoch.
+//
+// The finalizer sits on a sentinel hung under the root with no Parent
+// link: every tree node is on a Parent/Children cycle, and the runtime
+// never finalizes an object that can reach itself, but the sentinel is
+// reachable exactly when some node of the tree is.
+func TestHeldMachineDoesNotPinDocument(t *testing.T) {
+	abs, err := CompileString("/site/people/person/name")
+	if err != nil {
+		t.Fatal(err)
+	}
+	relPath, err := xpath.ParseRelative("people/person/name")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := CompileRelative(relPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		run  func(m *Machine, d *xmltree.Document) []*xmltree.Node
+	}{
+		{"EvalInto", func(m *Machine, d *xmltree.Document) []*xmltree.Node { return abs.EvalInto(m, d, nil) }},
+		{"EvalFrom", func(m *Machine, d *xmltree.Document) []*xmltree.Node { return rel.EvalFrom(m, d.Root, nil) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMachine()
+			collected := make(chan struct{})
+			func() {
+				d := mustDoc(t, auctionDoc)
+				sentinel := &xmltree.Node{Kind: xmltree.Element, Label: "sentinel"}
+				d.Root.Children = append(d.Root.Children, sentinel)
+				runtime.SetFinalizer(sentinel, func(*xmltree.Node) { close(collected) })
+				if got := tc.run(m, d); len(got) != 3 {
+					t.Fatalf("matches = %d, want 3", len(got))
+				}
+			}()
+			defer runtime.KeepAlive(m)
+			for i := 0; i < 20; i++ {
+				runtime.GC()
+				select {
+				case <-collected:
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			t.Fatal("document still reachable from the machine after its evaluation")
+		})
 	}
 }

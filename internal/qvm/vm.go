@@ -34,7 +34,21 @@ func (m *Machine) getBuf() []*xmltree.Node {
 	return make([]*xmltree.Node, 0, 16)
 }
 
+// putBuf returns b to the free list with every slot nil. runSeg reslices
+// buffers to [:0] and compacts in place, so stale node pointers can sit
+// past len, and any one of them would keep its whole document reachable
+// through Parent/Children for as long as the machine lives. A buffer is
+// handed out all nil and filled from the front with non-nil nodes, so the
+// stale slots run contiguously from len to the first nil: clearing up to
+// there costs what filling the buffer did, not its (possibly much larger)
+// capacity.
 func (m *Machine) putBuf(b []*xmltree.Node) {
+	full := b[:cap(b)]
+	hw := len(b)
+	for hw < len(full) && full[hw] != nil {
+		hw++
+	}
+	clear(full[:hw])
 	m.free = append(m.free, b)
 }
 
@@ -44,16 +58,18 @@ func (m *Machine) putBuf(b []*xmltree.Node) {
 func (p *Program) Eval(d *xmltree.Document) []*xmltree.Node {
 	m := machinePool.Get().(*Machine)
 	out := p.EvalInto(m, d, nil)
-	m.doc = nil // don't pin the document from the pool
 	machinePool.Put(m)
 	return out
 }
 
 // EvalInto appends the program's matches to dst using the caller's machine,
-// avoiding all steady-state allocations beyond dst growth.
+// avoiding all steady-state allocations beyond dst growth. The machine
+// keeps no reference to d afterwards.
 func (p *Program) EvalInto(m *Machine, d *xmltree.Document, dst []*xmltree.Node) []*xmltree.Node {
 	m.doc = d
-	return m.runSeg(p, 0, d.Root, p.FromDoc, dst)
+	dst = m.runSeg(p, 0, d.Root, p.FromDoc, dst)
+	m.doc = nil
+	return dst
 }
 
 // EvalFrom appends the matches of a relative program evaluated from ctx.

@@ -70,15 +70,11 @@ type MatchJSON struct {
 	Value string `json:"value"`
 }
 
-// XPathResponse answers GET /v1/db/{db}/xpath. Plan is populated only
-// when the request asked explain=1: the rewrite plan that served the
-// query ("single-view rewrite over V", "stitch of ...", "intersection of
-// ..."), or "treewalk" when the document was walked directly.
+// XPathResponse answers GET /v1/db/{db}/xpath.
 type XPathResponse struct {
 	Tenant  string      `json:"tenant"`
 	Version uint64      `json:"version"`
 	Query   string      `json:"query"`
-	Plan    string      `json:"plan,omitempty"`
 	Matches []MatchJSON `json:"matches"`
 }
 
@@ -249,16 +245,10 @@ func (r *Registry) handleXPath(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, sh.Name(), "missing q parameter")
 		return
 	}
-	// rewrite=0 forces the tree walk (the differential tests' oracle side);
-	// explain=1 echoes the plan that served the query.
-	snap := sh.Epoch()
-	resp, err := r.xpathResponse(sh, snap, q, req.URL.Query().Get("rewrite") != "0")
+	resp, err := r.xpathResponse(sh, sh.Epoch(), q)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, sh.Name(), err.Error())
 		return
-	}
-	if req.URL.Query().Get("explain") != "1" {
-		resp.Plan = ""
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -23,16 +23,11 @@ import "xivm/internal/obs"
 //	server.xpath.cache.hit    /xpath queries served by a cached compiled program
 //	server.xpath.cache.miss   /xpath queries that compiled a fresh program
 //	server.xpath.cache.evict  compiled programs evicted from the LRU
-//	server.xpath.rewrite.hit  /xpath queries answered from maintained views
-//	server.xpath.rewrite.miss /xpath queries that fell back to the tree
-//	                          walk (not pattern-expressible, or no view plan)
-//	server.xpath.rewrite.stitch
-//	                          rewrite hits served by a two-view stitch plan
-//	server.xpath.rewrite.intersect
-//	                          rewrite hits served by a k-view intersection
 //	server.xpath.rewrite.cache_hit
 //	                          /xpath queries served from the delta-
-//	                          invalidated result cache
+//	                          invalidated result cache (both cache names
+//	                          outlive the view-rewrite planner; perfbench
+//	                          reads them)
 //	server.xpath.rewrite.cache_invalidate
 //	                          cached results dropped because an applied
 //	                          statement may affect their pattern
@@ -72,12 +67,8 @@ type serverMetrics struct {
 	xpathCacheHits    *obs.Counter
 	xpathCacheMisses  *obs.Counter
 	xpathCacheEvicts  *obs.Counter
-	rewriteHits       *obs.Counter
-	rewriteMisses     *obs.Counter
-	rewriteStitch     *obs.Counter
-	rewriteIntersect  *obs.Counter
-	rewriteCacheHits  *obs.Counter
-	rewriteCacheInval *obs.Counter
+	qcacheHits        *obs.Counter
+	qcacheInval       *obs.Counter
 	epochs            *obs.Counter
 	epochRows         *obs.Counter
 	epochDocNodes     *obs.Counter
@@ -115,12 +106,8 @@ func newServerMetrics(reg *obs.Metrics) *serverMetrics {
 		xpathCacheHits:    reg.Counter("server.xpath.cache.hit"),
 		xpathCacheMisses:  reg.Counter("server.xpath.cache.miss"),
 		xpathCacheEvicts:  reg.Counter("server.xpath.cache.evict"),
-		rewriteHits:       reg.Counter("server.xpath.rewrite.hit"),
-		rewriteMisses:     reg.Counter("server.xpath.rewrite.miss"),
-		rewriteStitch:     reg.Counter("server.xpath.rewrite.stitch"),
-		rewriteIntersect:  reg.Counter("server.xpath.rewrite.intersect"),
-		rewriteCacheHits:  reg.Counter("server.xpath.rewrite.cache_hit"),
-		rewriteCacheInval: reg.Counter("server.xpath.rewrite.cache_invalidate"),
+		qcacheHits:        reg.Counter("server.xpath.rewrite.cache_hit"),
+		qcacheInval:       reg.Counter("server.xpath.rewrite.cache_invalidate"),
 		epochs:            reg.Counter("snapshot.epochs"),
 		epochRows:         reg.Counter("snapshot.rows"),
 		epochDocNodes:     reg.Counter("snapshot.doc.nodes"),

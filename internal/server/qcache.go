@@ -50,7 +50,6 @@ type cachedResult struct {
 	query   string
 	pat     *pattern.Pattern
 	matches []MatchJSON
-	plan    string
 	version uint64
 }
 

@@ -228,7 +228,7 @@ func (s *Shard) initQueryCache() {
 	s.qcache = newQueryCache(s.eng.Version())
 	s.eng.SetOnApplied(func(sts []*update.Statement, version uint64) {
 		if n := s.qcache.noteApplied(sts, version); n > 0 {
-			s.m.rewriteCacheInval.Add(int64(n))
+			s.m.qcacheInval.Add(int64(n))
 		}
 	})
 }

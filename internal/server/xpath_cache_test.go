@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
 
@@ -14,9 +15,10 @@ import (
 // through the HTTP handler: first sight of a query is a miss that compiles,
 // repeats are hits, and with a tiny cache a third distinct query evicts the
 // least-recently-used program — all visible as server.xpath.cache.{hit,
-// miss,evict} and none of it changing query results. rewrite=0 keeps the
-// view-rewrite layer (and its own result cache) out of the way: this test
-// pins the tree-walk compile cache alone.
+// miss,evict} and none of it changing query results. The queries are ones
+// the pattern bridge refuses (positional, sibling axis, count()), so the
+// result cache never answers them and every request reaches the compiled-
+// program cache.
 func TestXPathCacheMetrics(t *testing.T) {
 	m := obs.New()
 	reg, err := NewRegistry(RegistryConfig{
@@ -47,16 +49,16 @@ func TestXPathCacheMetrics(t *testing.T) {
 	query := func(q string) XPathResponse {
 		t.Helper()
 		var xr XPathResponse
-		if st := getJSON(t, ts.URL+"/v1/db/default/xpath?rewrite=0&q="+q, &xr); st != 200 {
+		if st := getJSON(t, ts.URL+"/v1/db/default/xpath?q="+url.QueryEscape(q), &xr); st != 200 {
 			t.Fatalf("GET xpath %q: status %d", q, st)
 		}
 		return xr
 	}
 
 	const (
-		q1 = "/site/people/person/name"
-		q2 = "//person[@id]"
-		q3 = "/site/regions//item"
+		q1 = "/site/people/person[1]/name"
+		q2 = "//person/following-sibling::person"
+		q3 = "//person[count(name)>=1]"
 	)
 
 	// Cold cache: the first evaluation compiles.
@@ -111,10 +113,13 @@ func TestXPathCacheMetrics(t *testing.T) {
 	// before the compile attempt) but never enters the cache, so nothing
 	// is evicted.
 	var xr XPathResponse
-	if st := getJSON(t, ts.URL+"/v1/db/default/xpath?rewrite=0&q=/site[", &xr); st != 400 {
+	if st := getJSON(t, ts.URL+"/v1/db/default/xpath?q=/site[", &xr); st != 400 {
 		t.Fatalf("malformed query: status %d, want 400", st)
 	}
 	if hit, miss, evict := counters(); hit != 1 || miss != 5 || evict != 2 {
 		t.Fatalf("after malformed query: hit=%d miss=%d evict=%d, want 1/5/2", hit, miss, evict)
+	}
+	if n := m.Counter("server.xpath.rewrite.cache_hit").Value(); n != 0 {
+		t.Fatalf("result cache answered %d unbridgeable queries", n)
 	}
 }

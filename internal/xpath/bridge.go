@@ -7,14 +7,15 @@ import (
 )
 
 // This file bridges the XPath dialect onto the paper's tree-pattern dialect
-// P, so ad-hoc queries can be answered from materialized views by
-// internal/rewrite. Only a subset of XPath is expressible as a tree
-// pattern: child and descendant axes over named steps, existence and
-// value-equality predicates (which become pattern branches), and
+// P, so an ad-hoc query can be reasoned about like a view: the serving
+// layer's result cache vets each applied update against a cached query's
+// pattern (internal/independence). Only a subset of XPath is expressible
+// as a tree pattern: child and descendant axes over named steps, existence
+// and value-equality predicates (which become pattern branches), and
 // conjunctions thereof. Everything else — disjunction, positional tests,
 // count()/contains()/starts-with(), wildcards, text() tests, sibling axes —
-// is reported with a typed NotExpressibleError so callers can fall back to
-// direct evaluation.
+// is reported with a typed NotExpressibleError, and callers treat such a
+// query as having no pattern.
 
 // NotExpressibleError reports that a path has no tree-pattern equivalent,
 // naming the construct that broke the translation.
@@ -31,8 +32,8 @@ func notExpressible(format string, args ...any) error {
 }
 
 // ToPattern converts an absolute path to an equivalent tree pattern whose
-// result node (the last spine step) stores ID and val — exactly what a
-// serving layer needs to rebuild (id, label, value) matches from view rows.
+// result node (the last spine step) stores ID and val, so its embeddings
+// carry everything an (id, label, value) match needs.
 //
 // The translation preserves match semantics node-for-node:
 //
@@ -47,8 +48,8 @@ func notExpressible(format string, args ...any) error {
 //     bind).
 //
 // The distinct result-node IDs of the pattern's embeddings, in document
-// order, equal Eval's match list — rewrite projection dedups by ID and
-// sorts by Dewey key, which is order-isomorphic to document order.
+// order, equal Eval's match list (Dewey key order is order-isomorphic to
+// document order).
 func ToPattern(p Path) (*pattern.Pattern, error) {
 	if len(p.Steps) == 0 {
 		return nil, notExpressible("empty path")
