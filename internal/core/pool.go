@@ -28,8 +28,7 @@ type poolEntry struct {
 	sub    *pattern.Pattern // canonical sub-pattern (indexes 0..k-1)
 	mat    *store.Mat
 	refs   int
-	prog   *qvm.Program // compiled existence program for the sub-pattern
-	labels []string     // distinct node labels (qvm.RequiredLabels)
+	labels []string // distinct node labels (qvm.RequiredLabels)
 }
 
 // Pool shares materialized snowcaps between views.
@@ -82,26 +81,8 @@ func (pl *Pool) Register(sub *pattern.Pattern) string {
 	}
 	m := store.NewMat(sub, sub.FullMask())
 	m.FillFromBlock(algebra.EvalSubPattern(sub, sub.FullMask(), pl.store.Inputs(sub), pl.join))
-	e := &poolEntry{sub: sub, mat: m, refs: 1, labels: qvm.RequiredLabels(sub)}
-	// The compiled existence program decides "can this sub-pattern match at
-	// all?" without building tuples; patterns beyond the compiler's dialect
-	// (none today) would simply skip the fast existence path.
-	if prog, err := qvm.CompilePattern(sub); err == nil {
-		e.prog = prog
-	}
-	pl.entries[sig] = e
+	pl.entries[sig] = &poolEntry{sub: sub, mat: m, refs: 1, labels: qvm.RequiredLabels(sub)}
 	return sig
-}
-
-// Exists reports whether the registered sub-pattern has at least one
-// embedding in the document, via its compiled program's early-exit walk.
-// The second result is false for unknown signatures.
-func (pl *Pool) Exists(sig string, d *xmltree.Document) (bool, bool) {
-	e, ok := pl.entries[sig]
-	if !ok || e.prog == nil {
-		return false, false
-	}
-	return e.prog.Exists(d), true
 }
 
 // Block returns the shared materialization's tuples with columns remapped

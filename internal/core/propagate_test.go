@@ -194,11 +194,30 @@ func TestPropagateCancelWithSkips(t *testing.T) {
 // the captured state — rows, document content, and IDs — no matter what
 // the engine does afterwards. The document copy must preserve the live
 // tree's (history-dependent) Dewey IDs so that rows and XPath results from
-// the same snapshot agree on node identity.
+// the same snapshot agree on node identity. Snapshots share row entries
+// with the live views, so the val/cont refresh of a stored row (the
+// tuple-modification path) must copy the row's entries rather than write
+// through to every epoch that captured it.
 func TestSnapshotImmutable(t *testing.T) {
 	d := mustDoc(t, `<root><a><b>5</b></a></root>`)
 	e := New(d, WithMetrics(obs.New()))
 	mv := addView(t, e, `//a{ID}//b{ID,val}`)
+	mvA := addView(t, e, `//a{ID,val,cont}`)
+	// aEntry returns the single //a row's entry, checking it agrees with
+	// the node it names in the same snapshot's document.
+	aEntry := func(s *Snapshot) algebra.RowEntry {
+		t.Helper()
+		rows := s.View(mvA.Name).Rows
+		if len(rows) != 1 || len(rows[0].Entries) != 1 {
+			t.Fatalf("//a rows = %+v, want 1 row of 1 entry", rows)
+		}
+		en := rows[0].Entries[0]
+		n := s.Doc().NodeByID(en.ID)
+		if n == nil || en.Val != n.StringValue() || en.Cont != n.Content() {
+			t.Fatalf("//a entry %+v disagrees with its snapshot document", en)
+		}
+		return en
+	}
 
 	snap := e.Snapshot()
 	if snap.Version != e.Version() {
@@ -213,11 +232,20 @@ func TestSnapshotImmutable(t *testing.T) {
 		t.Fatal("snapshot row does not resolve against the snapshot document")
 	}
 	xmlBefore := snap.DocXML()
+	aBefore := aEntry(snap)
+	if aBefore.Val != "5" || aBefore.Cont != "<a><b>5</b></a>" {
+		t.Fatalf("//a entry before mutations = %+v", aBefore)
+	}
 
 	for i := 0; i < 3; i++ {
 		if _, err := e.ApplyStatement(update.MustParse(`insert <b>9</b> into /root/a`)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	snapMid := e.Snapshot()
+	aMid := aEntry(snapMid)
+	if aMid.Val != "5999" {
+		t.Fatalf("//a val after inserts = %q, want 5999", aMid.Val)
 	}
 	if _, err := e.ApplyStatement(update.MustParse(`delete /root/a/b`)); err != nil {
 		t.Fatal(err)
@@ -232,6 +260,12 @@ func TestSnapshotImmutable(t *testing.T) {
 	if snap.DocXML() != xmlBefore {
 		t.Fatal("snapshot serialization changed after mutations")
 	}
+	if got := aEntry(snap); got.Val != aBefore.Val || got.Cont != aBefore.Cont {
+		t.Fatalf("refreshes reached a published snapshot's //a entry: %+v, captured %+v", got, aBefore)
+	}
+	if got := aEntry(snapMid); got.Val != aMid.Val || got.Cont != aMid.Cont {
+		t.Fatalf("the delete's refresh reached an earlier snapshot's //a entry: %+v, captured %+v", got, aMid)
+	}
 
 	// A fresh snapshot reflects the new state and a higher version.
 	snap2 := e.Snapshot()
@@ -240,5 +274,8 @@ func TestSnapshotImmutable(t *testing.T) {
 	}
 	if got := len(snap2.View(mv.Name).Rows); got != 0 {
 		t.Fatalf("fresh snapshot rows = %d, want 0 after delete", got)
+	}
+	if got := aEntry(snap2); got.Val != "" || got.Cont == aMid.Cont {
+		t.Fatalf("fresh snapshot //a entry = %+v, want the refreshed val/cont", got)
 	}
 }

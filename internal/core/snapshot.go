@@ -9,9 +9,10 @@ import (
 )
 
 // Snapshot is an immutable, self-contained image of the engine at one
-// version: every view's rows (deep-copied, so later in-place refreshes of
-// the live view cannot reach them), an independent copy of the document,
-// and the version counter identifying the state. A Snapshot is safe for
+// version: every view's rows (store.View.Replace copies a row's entries
+// before refreshing them, so later refreshes of the live view cannot reach
+// the ones captured here), an independent copy of the document, and the
+// version counter identifying the state. A Snapshot is safe for
 // unlimited concurrent readers and never changes after Engine.Snapshot
 // returns — the epoch-published read path (internal/server) swaps an
 // atomic pointer to the latest one after each applied statement, so
@@ -43,8 +44,9 @@ type Snapshot struct {
 type ViewSnapshot struct {
 	Name    string
 	Pattern *pattern.Pattern
-	// Rows are the view's rows in canonical (document) order. The slice
-	// and every row's Entries are private copies.
+	// Rows are the view's rows in canonical (document) order. The slice is
+	// private; every row's Entries is shared with the live view until
+	// store.View.Replace copies it on write.
 	Rows []algebra.Row
 }
 
@@ -63,24 +65,10 @@ func (e *Engine) Snapshot() *Snapshot {
 		s.Views = append(s.Views, ViewSnapshot{
 			Name:    mv.Name,
 			Pattern: mv.Pattern,
-			Rows:    copyRows(mv.View.Rows()),
+			Rows:    mv.View.Rows(),
 		})
 	}
 	return s
-}
-
-// copyRows deep-copies row entries: View.Rows returns a fresh row slice,
-// but each row's Entries still aliases the view's internal storage, which
-// the tuple-modification algorithms (PIMT/PDMT refresh) later mutate in
-// place. dewey.IDs and strings are immutable and safe to share.
-func copyRows(rows []algebra.Row) []algebra.Row {
-	out := make([]algebra.Row, len(rows))
-	for i, r := range rows {
-		entries := make([]algebra.RowEntry, len(r.Entries))
-		copy(entries, r.Entries)
-		out[i] = algebra.Row{Entries: entries, Count: r.Count}
-	}
-	return out
 }
 
 // View returns the snapshot of the named view, or nil if no such view was

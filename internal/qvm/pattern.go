@@ -1,119 +1,6 @@
 package qvm
 
-import (
-	"strings"
-
-	"xivm/internal/pattern"
-	"xivm/internal/xmltree"
-)
-
-// CompilePattern compiles a tree pattern into an existence program over the
-// same instruction set the path compiler uses: the pattern's spine (the
-// chain through each node's last child, mirroring the rendering order of
-// Pattern.String) becomes the main segment, every other child subtree
-// becomes an existence predicate block, and [val=c] annotations become
-// self-value tests. Patterns have no positional predicates, so the whole
-// program is eligible for the early-exit existence walk — Program.Exists
-// stops at the first embedding witness.
-//
-// The program decides pattern existence (is there at least one embedding?),
-// which is what the maintenance gates need; tuple extents still come from
-// the algebra evaluator.
-func CompilePattern(pt *pattern.Pattern) (*Program, error) {
-	c := &compiler{
-		prog:    &Program{FromDoc: true, Source: pt.String()},
-		nameIdx: map[string]int32{},
-		litIdx:  map[string]int32{},
-	}
-	if err := c.patternSeg(pt.Root); err != nil {
-		return nil, err
-	}
-	return c.prog, nil
-}
-
-// patternSeg emits the spine starting at n as a path segment, then the
-// predicate chains (self-value tests and branch existence tests) the spine
-// nodes reference.
-func (c *compiler) patternSeg(n *pattern.Node) error {
-	type pendingNode struct {
-		at   int32
-		node *pattern.Node
-		kids []*pattern.Node // non-spine children, each an existence branch
-	}
-	var pending []pendingNode
-	for cur := n; cur != nil; {
-		at := c.emit(c.patternStep(cur))
-		var kids []*pattern.Node
-		var spine *pattern.Node
-		if len(cur.Children) > 0 {
-			kids = cur.Children[:len(cur.Children)-1]
-			spine = cur.Children[len(cur.Children)-1]
-		}
-		if cur.HasPred || len(kids) > 0 {
-			pending = append(pending, pendingNode{at: at, node: cur, kids: kids})
-		}
-		cur = spine
-	}
-	c.emit(Instr{Op: opEnd, A: -1, B: -1})
-	for _, ps := range pending {
-		chain := int32(len(c.prog.Instrs))
-		nblocks := int32(0)
-		type branch struct {
-			at  int32
-			kid *pattern.Node
-		}
-		var branches []branch
-		if ps.node.HasPred {
-			c.emit(Instr{Op: pSelfEq, A: c.lit(ps.node.PredVal), B: -1})
-			c.emit(Instr{Op: pRet, A: -1, B: -1})
-			nblocks++
-		}
-		for _, k := range ps.kids {
-			at := c.emit(Instr{Op: pExists, A: -1, B: -1, C: 1})
-			c.emit(Instr{Op: pRet, A: -1, B: -1})
-			branches = append(branches, branch{at: at, kid: k})
-			nblocks++
-		}
-		for _, br := range branches {
-			pc := int32(len(c.prog.Instrs))
-			if err := c.patternSeg(br.kid); err != nil {
-				return err
-			}
-			c.prog.Instrs[br.at].A = pc
-		}
-		c.prog.Instrs[ps.at].B = chain
-		c.prog.Instrs[ps.at].C = nblocks << predCountShift
-	}
-	return nil
-}
-
-// patternStep translates one pattern node into a fused step instruction.
-// The edge from the parent (or the root's anchoring) picks the axis; the
-// label picks the test: "*" wildcard, "@x" attribute, "#text" text, "~w"
-// word, anything else an element name.
-func (c *compiler) patternStep(n *pattern.Node) Instr {
-	axis := axChild
-	if n.Desc {
-		axis = axDesc
-	}
-	in := Instr{A: -1, B: -1}
-	switch {
-	case n.Label == "*":
-		in.Op = stepOp(axis, tsWild)
-	case n.Label == xmltree.TextLabel:
-		in.Op = stepOp(axis, tsText)
-	case strings.HasPrefix(n.Label, "@"):
-		in.Op = stepOp(axis, tsAttr)
-		in.A = c.name(n.Label)
-	case strings.HasPrefix(n.Label, "~"):
-		in.Op = stepOp(axis, tsWord)
-		in.A = c.name(n.Label[1:])
-	default:
-		in.Op = stepOp(axis, tsName)
-		in.A = c.name(n.Label)
-	}
-	return in
-}
+import "xivm/internal/pattern"
 
 // RequiredLabels returns the pattern's concrete node labels — every
 // embedding must bind one document node per pattern node, so a document (or

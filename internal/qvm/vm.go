@@ -78,59 +78,6 @@ func (p *Program) EvalFrom(m *Machine, ctx *xmltree.Node, dst []*xmltree.Node) [
 	return m.runSeg(p, 0, ctx, false, dst)
 }
 
-// Exists reports whether the program has at least one match, stopping at
-// the first witness when the program is free of positional predicates.
-func (p *Program) Exists(d *xmltree.Document) bool {
-	m := machinePool.Get().(*Machine)
-	m.doc = d
-	defer func() {
-		m.doc = nil
-		machinePool.Put(m)
-	}()
-	if !p.mainSimple() {
-		buf := m.getBuf()
-		buf = p.EvalInto(m, d, buf)
-		ok := len(buf) > 0
-		m.putBuf(buf)
-		return ok
-	}
-	in := &p.Instrs[0]
-	root := d.Root
-	if !p.FromDoc {
-		return m.segAny(p, 0, root, modeExists, "")
-	}
-	switch in.Op.axis() {
-	case axChild:
-		return m.stepAccept(p, in, root) && m.segAny(p, 1, root, modeExists, "")
-	case axDesc:
-		// The label index turns the witness hunt into a scan of the
-		// step's own matches instead of a whole-tree walk.
-		if cands, ok := m.indexed(p, in); ok {
-			for _, n := range cands {
-				if m.stepAccept(p, in, n) && m.segAny(p, 1, n, modeExists, "") {
-					return true
-				}
-			}
-			return false
-		}
-		if m.stepAccept(p, in, root) && m.segAny(p, 1, root, modeExists, "") {
-			return true
-		}
-		return m.descAny(p, 0, in, root, modeExists, "")
-	}
-	return false // sibling axes from the virtual document node
-}
-
-// mainSimple reports whether the main segment has no grouped steps.
-func (p *Program) mainSimple() bool {
-	for pc := 0; p.Instrs[pc].Op != opEnd; pc++ {
-		if p.Instrs[pc].C&stepGrouped != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // runSeg executes the path segment at pc from start, appending the final
 // matches to dst. When fromDoc is set the first step is evaluated against
 // the virtual document node.
@@ -229,9 +176,9 @@ func blockEnd(p *Program, pc int) int {
 
 // indexed resolves a descendant step from the virtual document node against
 // the document's label index: exact-label tests (name, attribute, text) are
-// the index entry verbatim. Wildcard and word tests, and relative
-// evaluations (nil doc), fall back to the walk. The returned slice is the
-// index's own — callers must only read it.
+// the index entry verbatim. Wildcard tests and relative evaluations (nil
+// doc) fall back to the walk. The returned slice is the index's own —
+// callers must only read it.
 func (m *Machine) indexed(p *Program, in *Instr) ([]*xmltree.Node, bool) {
 	if m.doc == nil {
 		return nil, false
@@ -336,8 +283,6 @@ func (p *Program) match(in *Instr, n *xmltree.Node) bool {
 		return n.Kind == xmltree.Attribute && n.Label == p.Names[in.A]
 	case tsText:
 		return n.Kind == xmltree.Text
-	case tsWord:
-		return n.MatchesWord(p.Names[in.A])
 	}
 	return false
 }
@@ -387,8 +332,6 @@ func (m *Machine) runBlock(p *Program, pc int, ctx *xmltree.Node, pos, size int)
 			flag = pos == int(in.A)
 		case pLast:
 			flag = pos == size
-		case pSelfEq:
-			flag = ctx.StringValue() == p.Lits[in.A]
 		case pJumpF:
 			if !flag {
 				pc = int(in.A)

@@ -32,11 +32,12 @@
 //     unchanged).
 //
 //   - After every applied batch or statement the writer publishes a fresh
-//     epoch: an immutable core.Snapshot (deep-copied view rows plus an
-//     ID-preserving document copy, stamped with the tenant name) swapped in
-//     with one atomic pointer store. Any number of concurrent readers serve
-//     view and XPath queries from the last published epoch without taking
-//     any lock the writer can contend on. Readers therefore observe only
+//     epoch: an immutable core.Snapshot (view rows that later refreshes
+//     copy on write, plus an ID-preserving document copy that carries its
+//     label index, stamped with the tenant name) swapped in with one
+//     atomic pointer store. Any number of concurrent readers serve view
+//     and XPath queries from the last published epoch without taking any
+//     lock the writer can contend on. Readers therefore observe only
 //     states that existed between whole statements — never a
 //     half-propagated view.
 //

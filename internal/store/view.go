@@ -92,13 +92,17 @@ func (v *View) Remove(key string) bool {
 
 // Replace overwrites the stored row with the same identity key (used by the
 // tuple-modification algorithms to refresh val/cont without touching the
-// derivation count).
+// derivation count). The row's Entries are copied before update runs, so
+// rows handed out earlier by Rows or Each — an epoch snapshot's, say —
+// never see the change. This is the only in-place row mutation.
 func (v *View) Replace(key string, update func(*algebra.Row)) bool {
 	i, ok := v.byKey[key]
 	if !ok || v.rows[i].Count <= 0 {
 		return false
 	}
-	update(&v.rows[i])
+	r := &v.rows[i]
+	r.Entries = append([]algebra.RowEntry(nil), r.Entries...)
+	update(r)
 	return true
 }
 

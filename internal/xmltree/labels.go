@@ -3,10 +3,11 @@ package xmltree
 // The label index backs the compiled query engine's descendant steps: a
 // query-shaped `//x` wants "every node labeled x in document order", which a
 // tree walk answers in O(document) while this index answers it in
-// O(matches). The index is built lazily on first use — documents that never
-// serve such a query pay nothing — and dropped wholesale on any structural
-// mutation; the serving path evaluates against immutable snapshots, so there
-// the index is built at most once and shared by every reader.
+// O(matches). Snapshot fills it during its clone walk, so the immutable
+// epochs the serving path evaluates against carry it from publish on and
+// share it among every reader. Live and parsed documents build it lazily on
+// first use — documents that never serve such a query pay nothing — and
+// drop it wholesale on any structural mutation.
 
 // labelIndex maps each label occurring in the document to its nodes in
 // document order. Labels follow Node.Label conventions: plain element
@@ -14,8 +15,9 @@ package xmltree
 type labelIndex map[string][]*Node
 
 // Labeled returns the document-order list of nodes carrying the given
-// label, building the index on first use. The returned slice is shared —
-// callers must not modify it. Safe for concurrent use.
+// label, building the index on first use if Snapshot did not store one.
+// The returned slice is shared — callers must not modify it. Safe for
+// concurrent use.
 func (d *Document) Labeled(label string) []*Node {
 	if li := d.labels.Load(); li != nil {
 		return (*li)[label]

@@ -9,8 +9,8 @@ import (
 // ApplyInsert implements the paper's apply-insert(n, t) primitive: it copies
 // the tree t into a fresh tree t', inserts t' as the new last child of n,
 // assigns structural IDs to every copied node (as a side effect of the
-// document update, exactly as the paper assumes), indexes them, and returns
-// t'. Existing node IDs are never modified.
+// document update, exactly as the paper assumes), and returns t'. Existing
+// node IDs are never modified.
 func (d *Document) ApplyInsert(n *Node, t *Node) (*Node, error) {
 	if n == nil || n.Kind != Element {
 		return nil, errors.New("xmltree: insertion target must be an element")
@@ -37,12 +37,11 @@ func (d *Document) ApplyInsertForest(n *Node, forest []*Node) ([]*Node, error) {
 
 // cloneAssign copies the tree t under parent in a single walk, assigning
 // each copy its structural ID (gap-spaced ordinals below the root copy) and
-// registering it in the document index — the fused equivalent of
-// Clone + assignIDs + reindex, saving two tree traversals per insertion.
+// counting it in the document size.
 func (d *Document) cloneAssign(t *Node, parent *Node, ord dewey.Ord) *Node {
 	c := &Node{Kind: t.Kind, Label: t.Label, Value: t.Value, Parent: parent}
 	c.ID = parent.ID.Child(t.Label, ord)
-	d.index[c.ID.Key()] = c
+	d.size++
 	if len(t.Children) > 0 {
 		c.Children = make([]*Node, len(t.Children))
 		for i, ch := range t.Children {
@@ -53,9 +52,9 @@ func (d *Document) cloneAssign(t *Node, parent *Node, ord dewey.Ord) *Node {
 }
 
 // ApplyDelete implements apply-delete(n): it detaches the subtree rooted at
-// n from the document and removes its nodes from the index. Per XQuery
-// Update semantics all descendants of n leave the document with it. It
-// returns the detached subtree (IDs intact, for delta extraction).
+// n from the document. Per XQuery Update semantics all descendants of n
+// leave the document with it. It returns the detached subtree (IDs intact,
+// for delta extraction).
 func (d *Document) ApplyDelete(n *Node) (*Node, error) {
 	if n == nil {
 		return nil, errors.New("xmltree: nil deletion target")
@@ -76,7 +75,7 @@ func (d *Document) ApplyDelete(n *Node) (*Node, error) {
 	}
 	p.Children = append(p.Children[:idx], p.Children[idx+1:]...)
 	n.Parent = nil
-	d.unindex(n)
+	d.size -= n.CountNodes()
 	d.invalidateLabels()
 	return n, nil
 }
@@ -112,8 +111,10 @@ func (d *Document) ApplyDeleteBatch(nodes []*Node) ([]*Node, error) {
 		if n.Parent == nil {
 			continue // duplicate entry already detached
 		}
+		// Every victim is already filtered out of its parent, so a nested
+		// victim is no longer counted under its detached ancestor.
 		n.Parent = nil
-		d.unindex(n)
+		d.size -= n.CountNodes()
 		out = append(out, n)
 	}
 	d.invalidateLabels()

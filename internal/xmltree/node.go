@@ -54,47 +54,62 @@ type Node struct {
 	ID       dewey.ID
 }
 
-// Document is a parsed XML document: a single root element plus an index
-// from ID keys to nodes so that ID-carrying view tuples can be resolved back
-// to live nodes (needed by the tuple-modification algorithms PIMT/PDMT).
+// Document is a parsed XML document: a single root element whose nodes
+// carry Compact Dynamic Dewey IDs. An ID encodes the root-to-node path and
+// each step's sibling order, so the tree itself resolves ID-carrying view
+// tuples back to nodes (needed by the tuple-modification algorithms
+// PIMT/PDMT); no second structure has to be kept in sync with it.
 type Document struct {
-	Root  *Node
-	index map[string]*Node
+	Root *Node
+	size int // node count, kept by every structural mutator
 
-	// labels is the lazily-built label index (see labels.go); labelMu
-	// serializes its construction so concurrent readers build it once.
+	// labels is the label index (see labels.go): stored by Snapshot,
+	// otherwise built lazily; labelMu serializes the lazy construction so
+	// concurrent readers build it once.
 	labels  atomic.Pointer[labelIndex]
 	labelMu sync.Mutex
 }
 
-// NewDocument wraps a root node built elsewhere, indexing its subtree.
+// NewDocument wraps a root node built elsewhere.
 func NewDocument(root *Node) *Document {
-	d := &Document{Root: root, index: make(map[string]*Node)}
-	d.reindex(root)
-	return d
+	return &Document{Root: root, size: root.CountNodes()}
 }
 
-func (d *Document) reindex(n *Node) {
-	d.index[n.ID.Key()] = n
-	for _, c := range n.Children {
-		d.reindex(c)
-	}
-}
-
-func (d *Document) unindex(n *Node) {
-	delete(d.index, n.ID.Key())
-	for _, c := range n.Children {
-		d.unindex(c)
-	}
-}
-
-// NodeByID resolves a structural ID to the live node, or nil.
+// NodeByID resolves a structural ID to its node, or nil. It walks down from
+// the root, binary-searching each level's children for the key prefix
+// id.KeyAt(level). That is valid because siblings are always stored in
+// ascending key order: parsing assigns OrdAt(i) in order, every insert
+// appends Between(lastOrd, nil), and ApplyOrds rejects anything else. Keys
+// of children extend their parent's key, so only the suffixes past it are
+// compared. No allocation.
 func (d *Document) NodeByID(id dewey.ID) *Node {
-	return d.index[id.Key()]
+	if id.IsNull() || d.Root.ID.Key() != id.KeyAt(1) {
+		return nil
+	}
+	n := d.Root
+	for lvl := 2; lvl <= id.Level(); lvl++ {
+		p := len(id.KeyAt(lvl - 1))
+		want := id.KeyAt(lvl)[p:]
+		kids := n.Children
+		lo, hi := 0, len(kids)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if kids[m].ID.Key()[p:] < want {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		if lo == len(kids) || kids[lo].ID.Key()[p:] != want {
+			return nil
+		}
+		n = kids[lo]
+	}
+	return n
 }
 
 // Size returns the number of nodes in the document.
-func (d *Document) Size() int { return len(d.index) }
+func (d *Document) Size() int { return d.size }
 
 // Walk visits n and its descendants in document order, stopping early if f
 // returns false for a node (its subtree is then skipped).
@@ -192,24 +207,28 @@ func (n *Node) Clone() *Node {
 
 // Snapshot returns an independent deep copy of the document: fresh Node
 // structs with IDs preserved (unlike Node.Clone, which strips them for
-// template reuse) and a fresh index. The copy shares no mutable state with
-// the original, so it can serve any number of concurrent readers while the
-// original keeps mutating — the epoch-snapshot read path (core.Snapshot)
-// relies on this, and on ID preservation so that view rows and XPath
-// results from the same epoch agree on node identity.
+// template reuse). The copy shares no mutable state with the original, so
+// it can serve any number of concurrent readers while the original keeps
+// mutating — the epoch-snapshot read path (core.Snapshot) relies on this,
+// and on ID preservation so that view rows and XPath results from the same
+// epoch agree on node identity. The clone walk is preorder, i.e. document
+// order, so it also fills the copy's label index: readers of an epoch
+// never build it lazily.
 func (d *Document) Snapshot() *Document {
-	c := &Document{index: make(map[string]*Node, len(d.index))}
-	c.Root = c.cloneKeepIDs(d.Root, nil)
+	li := make(labelIndex)
+	c := &Document{size: d.size}
+	c.Root = cloneKeepIDs(d.Root, nil, li)
+	c.labels.Store(&li)
 	return c
 }
 
-func (c *Document) cloneKeepIDs(n, parent *Node) *Node {
+func cloneKeepIDs(n, parent *Node, li labelIndex) *Node {
 	m := &Node{Kind: n.Kind, Label: n.Label, Value: n.Value, Parent: parent, ID: n.ID}
-	c.index[m.ID.Key()] = m
+	li[m.Label] = append(li[m.Label], m)
 	if len(n.Children) > 0 {
 		m.Children = make([]*Node, len(n.Children))
 		for i, ch := range n.Children {
-			m.Children[i] = c.cloneKeepIDs(ch, m)
+			m.Children[i] = cloneKeepIDs(ch, m, li)
 		}
 	}
 	return m

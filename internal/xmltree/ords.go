@@ -42,9 +42,12 @@ func (d *Document) EncodeOrds() []byte {
 
 // ApplyOrds reassigns every node's structural ID from an ordinal stream
 // produced by EncodeOrds on a structurally identical document (same nodes,
-// same order), then rebuilds the ID index. The freshly parsed document's
-// sequential ordinals are replaced by the recorded ones, so the restored
-// ID space is byte-identical to the one the stream was taken from.
+// same order). The freshly parsed document's sequential ordinals are
+// replaced by the recorded ones, so the restored ID space is byte-identical
+// to the one the stream was taken from. Siblings must come out in strictly
+// ascending ordinal order, the invariant NodeByID's search relies on; a
+// stream that breaks it, disagrees on the root or does not cover exactly
+// the document is rejected.
 func (d *Document) ApplyOrds(data []byte) error {
 	pos := 0
 	next := func() (dewey.Ord, error) {
@@ -67,28 +70,28 @@ func (d *Document) ApplyOrds(data []byte) error {
 		}
 		return ord, nil
 	}
+	// Roots always carry the NewRoot ordinal; a stream that says otherwise
+	// was not taken from a structurally identical document.
+	root, err := next()
+	if err != nil {
+		return err
+	}
+	if !root.Equal(d.Root.ID.Step(0).Ord) {
+		return errors.New("xmltree: ordinal stream disagrees on the root")
+	}
 	var walk func(n *Node) error
 	walk = func(n *Node) error {
-		ord, err := next()
-		if err != nil {
-			return err
-		}
-		if n.Parent == nil {
-			// Roots always carry the NewRoot ordinal; a stream that says
-			// otherwise was not taken from a structurally identical document.
-			got := n.ID.Step(0).Ord
-			if len(ord) != len(got) {
-				return errors.New("xmltree: ordinal stream disagrees on the root")
-			}
-			for i := range ord {
-				if ord[i] != got[i] {
-					return errors.New("xmltree: ordinal stream disagrees on the root")
-				}
-			}
-		} else {
-			n.ID = n.Parent.ID.Child(n.Label, ord)
-		}
+		var prev dewey.Ord
 		for _, c := range n.Children {
+			ord, err := next()
+			if err != nil {
+				return err
+			}
+			if prev != nil && ord.Compare(prev) <= 0 {
+				return errors.New("xmltree: ordinal stream has non-ascending siblings")
+			}
+			prev = ord
+			c.ID = n.ID.Child(c.Label, ord)
 			if err := walk(c); err != nil {
 				return err
 			}
@@ -101,8 +104,5 @@ func (d *Document) ApplyOrds(data []byte) error {
 	if pos != len(data) {
 		return errors.New("xmltree: ordinal stream longer than the document")
 	}
-	d.index = make(map[string]*Node, len(d.index))
-	d.reindex(d.Root)
-	d.invalidateLabels()
 	return nil
 }

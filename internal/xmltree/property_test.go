@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"xivm/internal/dewey"
 )
 
 // randomDocSrc builds a random well-formed document string.
@@ -74,8 +76,112 @@ func TestSerializeParseFixpoint(t *testing.T) {
 	}
 }
 
-// Random insert/delete sequences keep the ID index exact and document order
-// strict.
+// mutateRandomly applies one random insert, delete or batch delete to d and
+// returns the IDs of the nodes it detached. It reports false on a mutator
+// error.
+func mutateRandomly(rng *rand.Rand, d *Document) ([]dewey.ID, bool) {
+	var elems []*Node
+	Walk(d.Root, func(n *Node) bool {
+		if n.Kind == Element {
+			elems = append(elems, n)
+		}
+		return true
+	})
+	n := elems[rng.Intn(len(elems))]
+	switch op := rng.Intn(3); {
+	case op == 0 || n.Parent == nil:
+		l := []string{"a", "b"}[rng.Intn(2)]
+		forest, err := ParseForest("<" + l + "><x/>y</" + l + ">")
+		if err != nil {
+			return nil, false
+		}
+		_, err = d.ApplyInsert(n, forest[0])
+		return nil, err == nil
+	case op == 1:
+		var gone []dewey.ID
+		Walk(n, func(m *Node) bool { gone = append(gone, m.ID); return true })
+		_, err := d.ApplyDelete(n)
+		return gone, err == nil
+	default:
+		// A few non-root victims, possibly nested in one another or
+		// repeated: the batch must count each detached node once.
+		var victims []*Node
+		var gone []dewey.ID
+		for i := rng.Intn(3); i >= 0; i-- {
+			v := elems[rng.Intn(len(elems))]
+			if v.Parent == nil {
+				continue
+			}
+			victims = append(victims, v)
+			Walk(v, func(m *Node) bool { gone = append(gone, m.ID); return true })
+		}
+		if len(victims) == 0 {
+			return nil, true
+		}
+		_, err := d.ApplyDeleteBatch(victims)
+		return gone, err == nil
+	}
+}
+
+// treeInvariantsHold checks what readers of d rely on: NodeByID returns every
+// node itself, siblings are stored in ascending key order, preorder is
+// strictly ascending in document order, Size counts the tree, and Labeled
+// equals a filtered walk. IDs that name no node resolve to nil: the detached
+// ones in gone, the null ID, IDs under another root label, and an ID one
+// level below a leaf.
+func treeInvariantsHold(d *Document, gone []dewey.ID) bool {
+	ok := true
+	var prev *Node
+	byLabel := map[string][]*Node{}
+	Walk(d.Root, func(m *Node) bool {
+		if d.NodeByID(m.ID) != m {
+			ok = false
+		}
+		if prev != nil && prev.ID.Compare(m.ID) >= 0 {
+			ok = false
+		}
+		for i := 1; i < len(m.Children); i++ {
+			if m.Children[i-1].ID.Key() >= m.Children[i].ID.Key() {
+				ok = false
+			}
+		}
+		if len(m.Children) == 0 && d.NodeByID(m.ID.Child("x", dewey.OrdAt(0))) != nil {
+			ok = false
+		}
+		byLabel[m.Label] = append(byLabel[m.Label], m)
+		prev = m
+		return true
+	})
+	if !ok || d.Size() != d.Root.CountNodes() {
+		return false
+	}
+	for l, want := range byLabel {
+		got := d.Labeled(l)
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+	}
+	if len(d.Labeled("absent")) != 0 {
+		return false
+	}
+	for _, id := range gone {
+		if d.NodeByID(id) != nil {
+			return false
+		}
+	}
+	other := dewey.NewRoot("other")
+	return d.NodeByID(dewey.ID{}) == nil && d.NodeByID(other) == nil &&
+		d.NodeByID(other.Child("a", dewey.OrdAt(0))) == nil
+}
+
+// Random insert, delete and batch-delete sequences keep NodeByID exact,
+// siblings ascending and the size and label index right, on the live
+// document and on a snapshot taken after every step.
 func TestMutationInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -84,44 +190,8 @@ func TestMutationInvariants(t *testing.T) {
 			return false
 		}
 		for step := 0; step < 10; step++ {
-			var elems []*Node
-			Walk(d.Root, func(n *Node) bool {
-				if n.Kind == Element {
-					elems = append(elems, n)
-				}
-				return true
-			})
-			n := elems[rng.Intn(len(elems))]
-			if rng.Intn(2) == 0 || n.Parent == nil {
-				forest, err := ParseForest(fmt.Sprintf("<%s><x/></%s>",
-					[]string{"a", "b"}[rng.Intn(2)], []string{"a", "b"}[rng.Intn(2)]))
-				if err != nil { // mismatched tags: skip this step
-					continue
-				}
-				if _, err := d.ApplyInsert(n, forest[0]); err != nil {
-					return false
-				}
-			} else {
-				if _, err := d.ApplyDelete(n); err != nil {
-					return false
-				}
-			}
-			// Index exactness and document order.
-			count := 0
-			ok := true
-			var prev *Node
-			Walk(d.Root, func(m *Node) bool {
-				count++
-				if d.NodeByID(m.ID) != m {
-					ok = false
-				}
-				if prev != nil && prev.ID.Compare(m.ID) >= 0 {
-					ok = false
-				}
-				prev = m
-				return true
-			})
-			if !ok || count != d.Size() {
+			gone, ok := mutateRandomly(rng, d)
+			if !ok || !treeInvariantsHold(d, gone) || !treeInvariantsHold(d.Snapshot(), gone) {
 				return false
 			}
 		}
